@@ -46,7 +46,6 @@ def runtime_snapshot() -> Dict:
     everything else the run recorded (fault counters, service metrics).
     """
     from repro.common.bufpool import chunk_pool_stats, pool_stats
-    from repro.formats.codegen import codegen_cache_stats
     from repro.formats.plans import plan_cache_stats
     from repro.formats.secure import decode_stats
     from repro.jvm import layout_cache
@@ -55,7 +54,6 @@ def runtime_snapshot() -> Dict:
     pool = pool_stats()
     chunk_pool = chunk_pool_stats()
     plan = plan_cache_stats()
-    codegen = codegen_cache_stats()
     layout = layout_cache.stats()
     registry_snapshot = get_registry().snapshot()
     memstore = {
@@ -66,8 +64,6 @@ def runtime_snapshot() -> Dict:
     return {
         "plan_cache": plan,
         "plan_cache_hit_rate": plan["hit_rate"],
-        "codegen_cache": codegen,
-        "codegen_cache_hit_rate": codegen["hit_rate"],
         "layout_cache": layout,
         "arena_high_water_mark_bytes": pool["high_water_mark_bytes"],
         "buffer_pool": pool,

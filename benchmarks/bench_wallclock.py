@@ -16,12 +16,7 @@ fast path rewrote:
    byte-identical; the gated serialize speedups must stay >= 2x, the
    gated deserialize speedups carry their own floor, and the plan-cache
    hit rate must show the cache actually warming.
-4. **Codegen kernels** — codegen-on vs plan-on vs interpreter for the
-   same codecs, asserted byte-identical across all three tiers. The
-   generated straight-line kernels must keep the >= 2x serialize floor
-   against the interpreter and stay ahead of the op-interpreting plan
-   tier; the warm codegen-cache hit rate must be >= 99%.
-5. **Service layer** — simulated-nanoseconds advanced per wall-clock
+4. **Service layer** — simulated-nanoseconds advanced per wall-clock
    second by the analytic event-loop server.
 
 Gating policy: absolute MB/s depends on the host, so CI gates only on
@@ -65,7 +60,6 @@ from repro.formats import (  # noqa: E402
     SkywaySerializer,
     graphs_equivalent,
 )
-from repro.formats import codegen  # noqa: E402
 from repro.formats import packing  # noqa: E402
 from repro.formats import plans  # noqa: E402
 from repro.formats import slow_reference as slow  # noqa: E402
@@ -84,9 +78,6 @@ _SPEEDUP_FLOOR = 3.0  # tentpole: fast packing round trip must stay >= 3x
 _PLAN_SPEEDUP_FLOOR = 2.0  # compiled-plan serialize must stay >= 2x where gated
 _PLAN_DESERIALIZE_FLOOR = 1.2  # compiled-plan deserialize floor where gated
 _PLAN_GATED_FORMATS = ("java", "kryo")  # cereal's interpreter is already bulk
-_CODEGEN_SPEEDUP_FLOOR = 2.0  # codegen serialize vs the interpreter oracle
-_CODEGEN_VS_PLAN_FLOOR = 1.05  # codegen must never fall behind the plan tier
-_CODEGEN_WARM_HIT_RATE = 0.99  # warm codegen-cache hit rate floor
 _REGRESSION_TOLERANCE = 0.20  # ratios may drift 20% below baseline, no more
 _OBS_OVERHEAD_BUDGET = 1.05  # obs-instrumented serialize <= 1.05x uninstrumented
 
@@ -291,127 +282,6 @@ def bench_plans(smoke: bool) -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------- codegen kernels
-
-
-def _interleaved_best(thunks: List[Callable[[], object]], repeats: int) -> List[float]:
-    """Per-thunk minimum wall time over ``repeats`` interleaved rounds.
-
-    The variants are timed round-robin within each round so CPU frequency
-    drift hits all of them equally; timing each variant in its own
-    back-to-back block can skew a ~1.3x ratio well past the regression
-    tolerance on a thermally busy host.
-    """
-    best = [float("inf")] * len(thunks)
-    for _ in range(repeats):
-        for index, fn in enumerate(thunks):
-            begin = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - begin
-            if elapsed < best[index]:
-                best[index] = elapsed
-    return best
-
-
-def bench_codegen(smoke: bool) -> Dict[str, object]:
-    """Codegen-on vs plan-on vs interpreter throughput, cache-warm.
-
-    All three tiers are asserted byte-identical before any timing. The
-    generated kernels inherit the plan tier's >= 2x serialize floor
-    against the interpreter oracle and must additionally stay ahead of
-    the plan tier itself (the op dispatch + per-op counter work they
-    eliminate); the incremental codegen-vs-plan ratios are also
-    regression-gated against the checked-in baseline. The warm-cache
-    section re-serializes the same shapes in a loop and demands a >= 99%
-    codegen-cache hit rate — kernels must compile once and be reused.
-    """
-    heap, root, registration = _build_payload(smoke)
-    codegen.reset_codegen_cache()
-    plans.reset_plan_cache()
-    reset_pool()
-    triples = {
-        "java": (
-            JavaSerializer(use_codegen=True),
-            JavaSerializer(),
-            JavaSerializer(use_plans=False),
-        ),
-        "kryo": (
-            KryoSerializer(registration, use_codegen=True),
-            KryoSerializer(registration),
-            KryoSerializer(registration, use_plans=False),
-        ),
-        "cereal": (
-            CerealSerializer(registration, use_codegen=True),
-            CerealSerializer(registration),
-            CerealSerializer(registration, use_plans=False),
-        ),
-    }
-    repeats = 5 if smoke else 9
-    registry = heap.registry
-    formats: Dict[str, Dict[str, float]] = {}
-    streams = {}
-    byte_identical = True
-    for name, (generated, planned, interp) in triples.items():
-        stream = generated.serialize(root).stream  # compiles kernels + plans
-        streams[name] = stream
-        byte_identical = byte_identical and (
-            stream.data == planned.serialize(root).stream.data
-            and stream.data == interp.serialize(root).stream.data
-        )
-        gen_ser, plan_ser, interp_ser = _interleaved_best(
-            [
-                lambda: generated.serialize(root),
-                lambda: planned.serialize(root),
-                lambda: interp.serialize(root),
-            ],
-            repeats,
-        )
-        gen_de, plan_de, interp_de = _interleaved_best(
-            [
-                lambda: generated.deserialize(stream, Heap(registry=registry)),
-                lambda: planned.deserialize(stream, Heap(registry=registry)),
-                lambda: interp.deserialize(stream, Heap(registry=registry)),
-            ],
-            repeats,
-        )
-        mb = stream.size_bytes / 1e6
-        formats[name] = {
-            "serialize_speedup_vs_interp": _round(interp_ser / gen_ser),
-            "serialize_speedup_vs_plan": _round(plan_ser / gen_ser),
-            "deserialize_speedup_vs_interp": _round(interp_de / gen_de),
-            "deserialize_speedup_vs_plan": _round(plan_de / gen_de),
-            "codegen_serialize_mb_per_sec": _round(mb / gen_ser),
-            "plan_serialize_mb_per_sec": _round(mb / plan_ser),
-            "interp_serialize_mb_per_sec": _round(mb / interp_ser),
-            "codegen_deserialize_mb_per_sec": _round(mb / gen_de),
-            "plan_deserialize_mb_per_sec": _round(mb / plan_de),
-            "interp_deserialize_mb_per_sec": _round(mb / interp_de),
-        }
-
-    # Warm-cache window: every kernel is already compiled, so a sustained
-    # serialize/deserialize loop must be all cache hits.
-    before = codegen.codegen_cache_stats()
-    warm_calls = 64 if smoke else 128
-    for _ in range(warm_calls):
-        for name, (generated, _planned, _interp) in triples.items():
-            generated.serialize(root)
-            generated.deserialize(streams[name], Heap(registry=registry))
-    stats = codegen.codegen_cache_stats()
-    warm_probes = (stats["hits"] + stats["misses"]) - (
-        before["hits"] + before["misses"]
-    )
-    warm_hits = stats["hits"] - before["hits"]
-    return {
-        "byte_identical": byte_identical,
-        "formats": formats,
-        "codegen_cache": stats,
-        "warm_window_calls": warm_calls,
-        "warm_window_hit_rate": _round(
-            warm_hits / warm_probes if warm_probes else 0.0, 6
-        ),
-    }
-
-
 # ---------------------------------------------------------------- obs overhead
 
 
@@ -526,10 +396,8 @@ def load_baseline() -> Dict[str, Dict[str, float]]:
 def evaluate_checks(
     packing_results: Dict[str, object],
     plan_results: Dict[str, object],
-    codegen_results: Dict[str, object],
     obs_results: Dict[str, object],
     baseline: Optional[Dict[str, float]],
-    smoke: bool = False,
 ) -> Dict[str, Dict[str, object]]:
     checks: Dict[str, Dict[str, object]] = {}
     checks["packing_byte_identical"] = {
@@ -576,60 +444,6 @@ def evaluate_checks(
             f"{cache['entries']} entries"
         ),
     }
-    checks["codegen_byte_identical"] = {
-        "ok": bool(codegen_results["byte_identical"]),
-        "detail": "generated kernels emit the plan and interpreter exact bytes",
-    }
-    cg_formats = codegen_results["formats"]  # type: ignore[assignment]
-    cg_vs_interp = {
-        name: float(cg_formats[name]["serialize_speedup_vs_interp"])
-        for name in _PLAN_GATED_FORMATS
-    }
-    checks["codegen_serialize_speedup_floor"] = {
-        "ok": all(v >= _CODEGEN_SPEEDUP_FLOOR for v in cg_vs_interp.values()),
-        "detail": ", ".join(
-            f"{name} {v:.2f}x" for name, v in sorted(cg_vs_interp.items())
-        ) + f" vs interpreter, floor {_CODEGEN_SPEEDUP_FLOOR}x",
-    }
-    cg_vs_plan = {
-        name: float(cg_formats[name]["serialize_speedup_vs_plan"])
-        for name in _PLAN_GATED_FORMATS
-    }
-    vs_plan_detail = ", ".join(
-        f"{name} {v:.2f}x" for name, v in sorted(cg_vs_plan.items())
-    )
-    if smoke:
-        # The smoke payload is small enough that per-call fixed costs
-        # (cell-table build, kernel lookups) dominate the per-object win,
-        # so the hard floor only applies in full mode; the per-mode
-        # baseline regression still tracks the smoke ratios.
-        checks["codegen_vs_plan_serialize_floor"] = {
-            "ok": True,
-            "detail": (
-                f"{vs_plan_detail} vs plan tier (informational in smoke "
-                f"mode; floor {_CODEGEN_VS_PLAN_FLOOR}x gates full runs)"
-            ),
-        }
-    else:
-        checks["codegen_vs_plan_serialize_floor"] = {
-            "ok": all(v >= _CODEGEN_VS_PLAN_FLOOR for v in cg_vs_plan.values()),
-            "detail": (
-                f"{vs_plan_detail} vs plan tier, floor "
-                f"{_CODEGEN_VS_PLAN_FLOOR}x"
-            ),
-        }
-    cg_cache = codegen_results["codegen_cache"]  # type: ignore[assignment]
-    warm_window = float(codegen_results["warm_window_hit_rate"])  # type: ignore[arg-type]
-    checks["codegen_cache_warm"] = {
-        "ok": warm_window >= _CODEGEN_WARM_HIT_RATE and cg_cache["entries"] > 0,
-        "detail": (
-            f"warm-window hit rate {warm_window:.2%} vs floor "
-            f"{_CODEGEN_WARM_HIT_RATE:.0%}; overall "
-            f"{float(cg_cache['hit_rate']):.2%} over "
-            f"{cg_cache['hits'] + cg_cache['misses']} probes "
-            f"({cg_cache['entries']} kernels incl. cold compiles)"
-        ),
-    }
     overhead = float(obs_results["overhead_ratio"])  # type: ignore[arg-type]
     checks["obs_overhead_budget"] = {
         "ok": overhead <= _OBS_OVERHEAD_BUDGET,
@@ -653,10 +467,6 @@ def evaluate_checks(
     for name in _PLAN_GATED_FORMATS:
         measurements[f"plan_serialize_speedup_{name}"] = gated[name]
         measurements[f"plan_deserialize_speedup_{name}"] = de_gated[name]
-        measurements[f"codegen_serialize_speedup_{name}"] = cg_vs_plan[name]
-        measurements[f"codegen_deserialize_speedup_{name}"] = float(
-            cg_formats[name]["deserialize_speedup_vs_plan"]
-        )
     measurements["obs_disabled_vs_enabled_speedup"] = float(
         obs_results["disabled_vs_enabled_speedup"]  # type: ignore[arg-type]
     )
@@ -686,12 +496,10 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
     packing_results = bench_packing(smoke)
     format_results = bench_formats(smoke)
     plan_results = bench_plans(smoke)
-    codegen_results = bench_codegen(smoke)
     obs_results = bench_obs(smoke)
     service_results = bench_service(smoke)
 
     plan_formats = plan_results["formats"]
-    cg_formats = codegen_results["formats"]
     mode = "smoke" if smoke else "full"
     if update_baseline:
         document = load_baseline()
@@ -709,12 +517,6 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
             baseline[f"plan_deserialize_speedup_{name}"] = plan_formats[name][
                 "deserialize_speedup"
             ]
-            baseline[f"codegen_serialize_speedup_{name}"] = cg_formats[name][
-                "serialize_speedup_vs_plan"
-            ]
-            baseline[f"codegen_deserialize_speedup_{name}"] = cg_formats[name][
-                "deserialize_speedup_vs_plan"
-            ]
         document[mode] = baseline
         with open(_BASELINE_PATH, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
@@ -723,10 +525,8 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
     checks = evaluate_checks(
         packing_results,
         plan_results,
-        codegen_results,
         obs_results,
         load_baseline().get(mode),
-        smoke=smoke,
     )
 
     emit_json(
@@ -736,7 +536,6 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
             "packing": packing_results,
             "formats": format_results,
             "plans": plan_results,
-            "codegen": codegen_results,
             "obs": obs_results,
             "service": service_results,
         },
@@ -776,22 +575,6 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
         f"  plan cache: {cache['hit_rate']:.1%} hit rate, "
         f"{cache['entries']} entries; arena high water "
         f"{plan_results['buffer_pool']['high_water_mark_bytes']} B"
-    )
-    for name, metrics in sorted(cg_formats.items()):
-        print(
-            f"  codegen:{name:7s} ser {metrics['serialize_speedup_vs_plan']:>5}x "
-            f"vs plan / {metrics['serialize_speedup_vs_interp']:>5}x vs interp "
-            f"({metrics['plan_serialize_mb_per_sec']} -> "
-            f"{metrics['codegen_serialize_mb_per_sec']} MB/s)  "
-            f"de {metrics['deserialize_speedup_vs_plan']:>5}x vs plan"
-        )
-    cg_cache = codegen_results["codegen_cache"]
-    print(
-        f"  codegen cache: {cg_cache['hit_rate']:.2%} hit rate, "
-        f"{cg_cache['entries']} kernels, "
-        f"{cg_cache['compile_ns'] / 1e6:.1f} ms compiling; warm window "
-        f"{codegen_results['warm_window_hit_rate']:.2%} over "
-        f"{codegen_results['warm_window_calls']} calls"
     )
     print(
         f"  obs: instrumented serialize {obs_results['overhead_ratio']}x "

@@ -37,9 +37,9 @@ from repro.formats.chunked import (
     encode_cursor,
 )
 from repro.formats.plans import (
-    ChunkedEncodeSummary,
     ChunkingBuffer,
     EncodeCursor,
+    EncodeSummary,
 )
 from repro.formats.secure import (
     VersionedKryo,
@@ -82,9 +82,9 @@ __all__ = [
     "ChunkSink",
     "ChunkSource",
     "CollectingChunkSink",
-    "ChunkedEncodeSummary",
     "ChunkingBuffer",
     "EncodeCursor",
+    "EncodeSummary",
     "collect_chunks",
     "encode_cursor",
     "frame_chunk",

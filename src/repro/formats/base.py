@@ -18,7 +18,9 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.formats.limits import DecodeLimits
+from repro.formats.plans import drain
 from repro.jvm.heap import Heap, HeapObject
 
 
@@ -149,14 +151,46 @@ class DeserializationResult:
 
 
 class Serializer(abc.ABC):
-    """Common interface for all S/D implementations in the reproduction."""
+    """Common interface for all S/D implementations in the reproduction.
+
+    Each format implements one production encode, :meth:`encode_walk`;
+    :meth:`serialize` and :meth:`serialize_chunks` are two ways of
+    draining it.
+    """
 
     #: Human-readable library name used in reports and figures.
     name: str = "abstract"
 
     @abc.abstractmethod
+    def encode_walk(self, root: HeapObject, out):
+        """Generator encoding the graph reachable from ``root`` into ``out``.
+
+        ``out`` is a sink: a flat ``bytearray`` or a
+        :class:`~repro.formats.plans.ChunkingBuffer`. The walk only
+        appends to it, yields while the sink has sealed chunks waiting
+        (never, for a flat buffer; see
+        :func:`~repro.formats.plans.sink_state`), and returns an
+        :class:`~repro.formats.plans.EncodeSummary` of the bytes it wrote.
+        """
+
     def serialize(self, root: HeapObject) -> SerializationResult:
-        """Serialize the graph reachable from ``root`` into a byte stream."""
+        """Serialize the graph reachable from ``root`` into a byte stream:
+        the encode walk drained into a pooled flat buffer."""
+        out = acquire_buffer()
+        try:
+            summary = drain(self.encode_walk(root, out))
+            data = bytes(out)
+        finally:
+            release_buffer(out)
+        stream = SerializedStream(
+            format_name=summary.format_name,
+            data=data,
+            sections=summary.sections,
+            object_count=summary.object_count,
+            graph_bytes=summary.graph_bytes,
+        )
+        stream.check_sections()
+        return SerializationResult(stream, summary.profile)
 
     @abc.abstractmethod
     def deserialize(
@@ -181,8 +215,9 @@ class Serializer(abc.ABC):
         """A resumable chunked encode of ``root``: returns an
         :class:`~repro.formats.plans.EncodeCursor` that yields the stream
         in exact ``chunk_bytes``-sized arenas drawn from ``pool`` (default
-        the process-wide chunk pool). Chunk concatenation is byte-identical
-        to :meth:`serialize`; see :mod:`repro.formats.chunked`.
+        the process-wide chunk pool). It drains the same
+        :meth:`encode_walk` as :meth:`serialize`, so chunk concatenation
+        is byte-identical to it; see :mod:`repro.formats.chunked`.
         """
         from repro.formats.chunked import encode_cursor
 

@@ -51,7 +51,6 @@ from repro.formats.base import (
 )
 from repro.common.bitstream import bits_to_word, word_to_bits
 from repro.common.bitutils import bytes_to_bits
-from repro.formats import codegen as CG
 from repro.formats import plans as P
 from repro.formats.packing import (
     PackedArray,
@@ -158,7 +157,6 @@ class CerealSerializer(Serializer):
         strip_mark_word: bool = False,
         use_packing: bool = True,
         use_plans: bool = True,
-        use_codegen: bool = False,
     ):
         if registration is None:
             registration = ClassRegistration(max_entries=max_class_types)
@@ -167,14 +165,10 @@ class CerealSerializer(Serializer):
         # use_packing=False emits the Section IV-A baseline format: raw
         # 8 B reference offsets and an 8 B length word per layout bitmap.
         self.use_packing = use_packing
-        # use_plans=True routes hot paths through compiled per-shape plans
-        # (repro.formats.plans); streams are byte-identical either way.
+        # use_plans=True serializes through encode_walk and decodes through
+        # compiled per-shape plans (repro.formats.plans); False keeps the
+        # interpreter (the oracle). Streams are byte-identical either way.
         self.use_plans = use_plans
-        # use_codegen=True runs serialize through generated per-shape gather
-        # kernels (repro.formats.codegen) — one compiled tuple expression per
-        # (klass, length) shape. Deserialize stays on the plan path: its hot
-        # loop is already a single bulk-slice per reference-free object.
-        self.use_codegen = use_codegen
 
     def register_class(self, klass) -> int:
         """The paper's ``RegisterClass(Class Type)`` API."""
@@ -183,10 +177,8 @@ class CerealSerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_codegen:
-            return self._serialize_codegen(root)
         if self.use_plans:
-            return self._serialize_planned(root)
+            return super().serialize(root)
         graph = ObjectGraph.from_root(root, order="bfs")
         profile = WorkProfile()
         heap = root.heap
@@ -240,17 +232,24 @@ class CerealSerializer(Serializer):
             profile,
         )
 
-    def _serialize_planned(self, root: HeapObject) -> SerializationResult:
-        """Plan-path serialize: per-shape gather lists over bulk word reads.
+    def encode_walk(self, root: HeapObject, out):
+        """The production encode: per-shape gathers over bulk word reads,
+        written against the sink ``out``.
 
-        Each distinct ``(klass, length)`` shape compiles once (process-wide
-        cache) into precomputed value/reference word-index tuples, so the
-        per-object work is two index-gather loops instead of a per-slot
-        bitmap classification. Streams and profiles are identical to the
-        interpreter path.
+        The value array's length word precedes the values, so the walk
+        makes two passes: one plan probe per object to size the value
+        array (and to reject unregistered classes before any byte is
+        written), then the streaming pass that gathers each object's
+        value words through the plan's precomputed index tuples and packs
+        them one sink step at a time. References and layout bitmaps — the
+        trailing minority sections — collect as int lists during that
+        pass and are framed at the end exactly as :meth:`_trailer` lays
+        them out for the interpreter. Streams and profiles are identical
+        to the interpreter path.
         """
+        ready, step = P.sink_state(out)
         graph = SlotRunGraph.from_root(root, order="bfs")
-        profile = WorkProfile()
+        objects = graph.objects
         heap = root.heap
         read_words = heap.memory.read_words
         header_slots = heap.header_slots
@@ -258,38 +257,61 @@ class CerealSerializer(Serializer):
         relative_address = graph.relative_address
         strip_mark = self.strip_mark_word
         extension = [0] * (header_slots - 2)  # zeroed Cereal extension words
+        start = len(out)
 
-        value_words: List[int] = []
-        reference_values: List[int] = []
-        bitmap_words: List[tuple] = []
-        append_value = value_words.append
-        extend_values = value_words.extend
-        append_ref = reference_values.append
-        # Per-call memo over the process-wide cache: one probe per shape.
-        plans: dict = {}
-        class_ids: dict = {}
-
-        for obj in graph.objects:
+        # Pass 1: one probe per object into a per-call memo over the
+        # process-wide plan cache.
+        cells: dict = {}  # (klass, length) -> (plan, class_id)
+        object_cells = []
+        instr = 0
+        value_fields = 0
+        reference_fields = 0
+        for obj in objects:
             klass = obj.klass
             shape = (klass, obj.length)
-            plan = plans.get(shape)
-            if plan is None:
+            cell = cells.get(shape)
+            if cell is None:
                 if not registration.is_registered(klass):
                     raise RegistrationError(
                         f"class {klass.name!r} not registered with Cereal; "
                         f"call register_class() first"
                     )
-                plan = P.plan_for("cereal", klass, header_slots, obj.length)
-                plans[shape] = plan
-                class_ids[shape] = registration.id_of(klass)
-            profile.objects += 1
-            profile.add_instructions(plan.instr)
-            bitmap_words.append((plan.bitmap_word, plan.bitmap_width))
-            words = read_words(obj.address, plan.total_slots)
+                plan = P.plan_for(
+                    CerealSerializer.name, klass, header_slots, obj.length
+                )
+                cell = cells[shape] = (plan, registration.id_of(klass))
+            object_cells.append(cell)
+            plan = cell[0]
+            instr += plan.instr
+            value_fields += plan.n_value
+            reference_fields += plan.n_ref
+        head_words = (0 if strip_mark else 1) + 1 + len(extension)
+        value_bytes_len = (head_words * len(objects) + value_fields) * 8
 
+        flags = (_FLAG_PACKED if self.use_packing else 0) | (
+            _FLAG_MARK_STRIPPED if strip_mark else 0
+        )
+        header = struct.pack(
+            "<IIB", graph.total_bytes, graph.object_count, flags
+        )
+        value_frame = struct.pack("<I", value_bytes_len)
+        out += header
+        out += value_frame
+
+        # Pass 2: gather value words, packed and written once per step.
+        flush_words = step // 8
+        values: List[int] = []
+        append_value = values.append
+        extend_values = values.extend
+        reference_values: List[int] = []
+        append_ref = reference_values.append
+        bitmap_words: List[tuple] = []
+        append_bitmap = bitmap_words.append
+        for obj, (plan, class_id) in zip(objects, object_cells):
+            words = read_words(obj.address, plan.total_slots)
             if not strip_mark:
                 append_value(words[_MARK_SLOT])
-            append_value(class_ids[shape])
+            append_value(class_id)
             if extension:
                 extend_values(extension)
             for index in plan.value_word_indices:
@@ -300,146 +322,59 @@ class CerealSerializer(Serializer):
                     append_ref(0)
                 else:
                     append_ref(relative_address[raw] + 1)
-            profile.value_fields += plan.n_value
-            profile.reference_fields += plan.n_ref
+            append_bitmap((plan.bitmap_word, plan.bitmap_width))
+            if len(values) > flush_words:
+                out += struct.pack(f"<{len(values)}Q", *values)
+                values.clear()
+                if ready:
+                    yield
+        if values:
+            out += struct.pack(f"<{len(values)}Q", *values)
 
-        return self._assemble_stream(
-            value_words,
-            reference_values,
-            bitmap_words,
-            graph.total_bytes,
-            graph.object_count,
+        ref_frame, ref_payload, bitmap_frame, bitmap_payload, trailer = (
+            self._trailer(reference_values, bitmap_words)
+        )
+        out += ref_frame
+        for blob in ref_payload:
+            yield from P.write_slices(out, blob, ready, step)
+        out += bitmap_frame
+        for blob in bitmap_payload:
+            yield from P.write_slices(out, blob, ready, step)
+
+        total = len(out) - start
+        sections = {
+            SECTION_META: len(header)
+            + len(value_frame)
+            + len(ref_frame)
+            + len(bitmap_frame),
+            SECTION_VALUES: value_bytes_len,
+        }
+        sections.update(trailer)
+        profile = WorkProfile(
+            instructions=instr + total // 4,
+            objects=len(objects),
+            value_fields=value_fields,
+            reference_fields=reference_fields,
+            bytes_read=graph.total_bytes,
+            bytes_written=total,
+        )
+        return P.EncodeSummary(
+            self.name,
+            total,
+            sections,
             profile,
-        )
-
-    def _serialize_codegen(self, root: HeapObject) -> SerializationResult:
-        """Codegen-path serialize: one generated gather call per object.
-
-        Each ``(klass, length)`` shape compiles once into a tuple-literal
-        expression that slices the bulk-read word image into the value and
-        reference structures in a single call — no per-slot Python loop.
-        Shapes whose gather exceeds the chunk cap fall back to the plan
-        gather loop. Streams and profiles match the interpreter exactly.
-        """
-        graph = SlotRunGraph.from_root(root, order="bfs")
-        profile = WorkProfile()
-        heap = root.heap
-        read_words = heap.memory.read_words
-        header_slots = heap.header_slots
-        registration = self.registration
-        relative_address = graph.relative_address
-        strip_mark = self.strip_mark_word
-
-        value_words: List[int] = []
-        reference_values: List[int] = []
-        bitmap_words: List[tuple] = []
-        extend_values = value_words.extend
-        append_value = value_words.append
-        append_ref = reference_values.append
-        append_bitmap = bitmap_words.append
-        extension = [0] * (header_slots - 2)
-
-        # shape -> [gather, class_id, plan, count, (bitmap_word, width)]
-        cells: dict = {}
-
-        for obj in graph.objects:
-            klass = obj.klass
-            shape = (klass, obj.length)
-            cell = cells.get(shape)
-            if cell is None:
-                if not registration.is_registered(klass):
-                    raise RegistrationError(
-                        f"class {klass.name!r} not registered with Cereal; "
-                        f"call register_class() first"
-                    )
-                plan = P.plan_for("cereal", klass, header_slots, obj.length)
-                kernel = CG.cereal_kernel_for(
-                    klass, header_slots, obj.length, strip_mark, plan
-                )
-                cell = [
-                    kernel.gather,
-                    registration.id_of(klass),
-                    plan,
-                    0,
-                    (plan.bitmap_word, plan.bitmap_width),
-                ]
-                cells[shape] = cell
-            cell[3] += 1
-            append_bitmap(cell[4])
-            plan = cell[2]
-            words = read_words(obj.address, plan.total_slots)
-            gather = cell[0]
-            if gather is not None:
-                vals, refs = gather(words, cell[1])
-                extend_values(vals)
-                for raw in refs:
-                    if raw == NULL_ADDRESS:
-                        append_ref(0)
-                    else:
-                        append_ref(relative_address[raw] + 1)
-            else:
-                # Chunk-cap fallback: plan-style index gather.
-                if not strip_mark:
-                    append_value(words[_MARK_SLOT])
-                append_value(cell[1])
-                if extension:
-                    extend_values(extension)
-                for index in plan.value_word_indices:
-                    append_value(words[index])
-                for index in plan.ref_word_indices:
-                    raw = words[index]
-                    if raw == NULL_ADDRESS:
-                        append_ref(0)
-                    else:
-                        append_ref(relative_address[raw] + 1)
-
-        objects = 0
-        instr = 0
-        value_fields = 0
-        reference_fields = 0
-        for cell in cells.values():
-            count = cell[3]
-            plan = cell[2]
-            objects += count
-            instr += count * plan.instr
-            value_fields += count * plan.n_value
-            reference_fields += count * plan.n_ref
-        profile.objects = objects
-        profile.add_instructions(instr)
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-
-        return self._assemble_stream(
-            value_words,
-            reference_values,
-            bitmap_words,
-            graph.total_bytes,
             graph.object_count,
-            profile,
+            graph.total_bytes,
         )
 
-    def _assemble_stream(
-        self,
-        value_words: List[int],
-        reference_values: List[int],
-        bitmap_words: List[tuple],
-        graph_total_bytes: int,
-        object_count: int,
-        profile: WorkProfile,
-    ) -> SerializationResult:
-        """Frame the three gathered structures into the output stream.
+    def _trailer(self, reference_values: List[int], bitmap_words: List[tuple]):
+        """Frame the reference array and layout bitmaps.
 
-        Shared by the interpreter and plan serialize paths so the byte
-        format stays single-source. Output bytes accumulate in a pooled
-        arena instead of a fresh list-of-chunks join per call.
+        Returns ``(ref_frame, ref_payload, bitmap_frame, bitmap_payload,
+        sections)``: the two frame words, the blobs following each, and
+        their section sizes. Shared by the walk and the interpreter so the
+        byte format stays single-source.
         """
-        value_bytes = struct.pack(f"<{len(value_words)}Q", *value_words)
-        flags = (_FLAG_PACKED if self.use_packing else 0) | (
-            _FLAG_MARK_STRIPPED if self.strip_mark_word else 0
-        )
-        header = struct.pack("<IIB", graph_total_bytes, object_count, flags)
-        value_frame = struct.pack("<I", len(value_bytes))
-
         if self.use_packing:
             packed_refs = pack_items(reference_values)
             packed_bitmaps = pack_bitmap_words(bitmap_words)
@@ -454,7 +389,7 @@ class CerealSerializer(Serializer):
             )
             ref_payload = [packed_refs.data, packed_refs.end_map]
             bitmap_payload = [packed_bitmaps.data, packed_bitmaps.end_map]
-            sections_refs = {
+            sections = {
                 SECTION_REFS: len(packed_refs.data),
                 SECTION_REF_END_MAP: len(packed_refs.end_map),
                 SECTION_BITMAPS: len(packed_bitmaps.data),
@@ -478,11 +413,32 @@ class CerealSerializer(Serializer):
             bitmap_frame = struct.pack("<I", len(bitmap_bytes))
             ref_payload = [ref_bytes]
             bitmap_payload = [bitmap_bytes]
-            sections_refs = {
+            sections = {
                 SECTION_REFS: len(ref_bytes),
                 SECTION_BITMAPS: len(bitmap_bytes),
             }
+        return ref_frame, ref_payload, bitmap_frame, bitmap_payload, sections
 
+    def _assemble_stream(
+        self,
+        value_words: List[int],
+        reference_values: List[int],
+        bitmap_words: List[tuple],
+        graph_total_bytes: int,
+        object_count: int,
+        profile: WorkProfile,
+    ) -> SerializationResult:
+        """Frame the interpreter's three gathered structures into the
+        output stream."""
+        value_bytes = struct.pack(f"<{len(value_words)}Q", *value_words)
+        flags = (_FLAG_PACKED if self.use_packing else 0) | (
+            _FLAG_MARK_STRIPPED if self.strip_mark_word else 0
+        )
+        header = struct.pack("<IIB", graph_total_bytes, object_count, flags)
+        value_frame = struct.pack("<I", len(value_bytes))
+        ref_frame, ref_payload, bitmap_frame, bitmap_payload, trailer = (
+            self._trailer(reference_values, bitmap_words)
+        )
         out = acquire_buffer()
         out += header
         out += value_frame
@@ -502,7 +458,7 @@ class CerealSerializer(Serializer):
             + len(bitmap_frame),
             SECTION_VALUES: len(value_bytes),
         }
-        sections.update(sections_refs)
+        sections.update(trailer)
         profile.bytes_read = graph_total_bytes
         profile.bytes_written = len(data)
         profile.add_instructions(len(data) // 4)

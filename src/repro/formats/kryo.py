@@ -28,9 +28,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from repro.common.bufpool import acquire_buffer, release_buffer
 from repro.common.errors import FormatError, TruncatedStreamError
-from repro.formats import codegen as CG
 from repro.formats import plans as P
 from repro.formats.base import (
     DeserializationResult,
@@ -87,18 +85,14 @@ class KryoSerializer(Serializer):
         self,
         registration: Optional[ClassRegistration] = None,
         use_plans: bool = True,
-        use_codegen: bool = False,
     ):
         self.registration = (
             registration if registration is not None else ClassRegistration()
         )
-        # Plan kernels are byte-identical to the interpreter; the class-ID
-        # varints depend on this instance's registration, so they are
-        # cached per serialize call, not baked into the shared plans (nor
-        # into the shared codegen kernels — the generated functions only
-        # cover field data, the mark+class-ID prefix is per-call data).
+        # use_plans=True serializes through encode_walk and decodes through
+        # the compiled plans, byte-identical to the interpreter; False
+        # keeps the interpreter (the oracle) for serialize and deserialize.
         self.use_plans = use_plans
-        self.use_codegen = use_codegen
 
     def register(self, klass) -> int:
         """Kryo's ``register(Class)``: required before S/D of that type."""
@@ -107,10 +101,8 @@ class KryoSerializer(Serializer):
     # ------------------------------------------------------------------ serialize
 
     def serialize(self, root: HeapObject) -> SerializationResult:
-        if self.use_codegen:
-            return self._serialize_codegen(root)
         if self.use_plans:
-            return self._serialize_planned(root)
+            return super().serialize(root)
         writer = StreamWriter(pooled=True)
         profile = WorkProfile()
         asm = ReflectAsmAccess()
@@ -203,232 +195,35 @@ class KryoSerializer(Serializer):
         stream.check_sections()
         return SerializationResult(stream, profile)
 
-    # ------------------------------------------------------- serialize (plan kernel)
+    # ------------------------------------------------------------- encode walk
 
-    def _serialize_planned(self, root: HeapObject) -> SerializationResult:
-        """Compiled-plan serialize: byte-identical to the interpreter."""
-        heap = root.heap
-        read = heap.memory.read
-        object_at = heap.object_at
-        header_slots = heap.header_slots
-        id_of = self.registration.id_of
-        append_varint = P.append_varint
-        append_signed = P.append_signed_varint
+    def encode_walk(self, root: HeapObject, out):
+        """The production encode: byte- and profile-identical to the
+        interpreter, written against the sink ``out``.
 
-        out = acquire_buffer()
-        mark_count = 0
-        class_id_count = 0
-        data_count = 0
-        ref_count = 0
-
-        object_ids: Dict[int, int] = {}  # heap address -> object id
-        next_object_id = 0
-        class_id_bytes: Dict[Klass, bytes] = {}  # per-call: registration-local
-
-        objects = 0
-        instr = 0
-        reflect_instr = 0
-        aux = 0
-        dep = 0
-        value_fields = 0
-        reference_fields = 0
-        graph_bytes = 0
-
-        plans_local: Dict[Klass, object] = {}
-
-        def emit(obj: HeapObject):
-            nonlocal out, mark_count, class_id_count, data_count, next_object_id
-            nonlocal objects, instr, reflect_instr, aux, dep
-            nonlocal value_fields, reference_fields, graph_bytes
-            klass = obj.klass
-            plan = plans_local.get(klass)
-            if plan is None:
-                plan = P.plan_for(self.name, klass, header_slots)
-                plans_local[klass] = plan
-            encoded_id = class_id_bytes.get(klass)
-            if encoded_id is None:
-                id_buffer = bytearray()
-                append_varint(id_buffer, id_of(klass))
-                encoded_id = bytes(id_buffer)
-                class_id_bytes[klass] = encoded_id
-            objects += 1
-            aux += plan.ser_aux
-            dep += plan.ser_dep
-            object_ids[obj.address] = next_object_id
-            next_object_id += 1
-            is_array = klass.is_array
-            out.append(MARK_ARRAY if is_array else MARK_OBJECT)
-            mark_count += 1
-            out += encoded_id
-            class_id_count += len(encoded_id)
-            if is_array:
-                length = obj.length
-                data_count += append_varint(out, length)
-                instr += plan.ser_instr + length * plan.ser_elem_instr
-                graph_bytes += obj.size_bytes
-                element_base = obj.fields_base + 8
-                if plan.is_ref:
-                    reference_fields += length
-                    if length:
-                        addresses = struct.unpack(
-                            f"<{length}Q", read(element_base, length * 8)
-                        )
-                        return [1, addresses, 0]
-                    return None
-                value_fields += length
-                if length == 0:
-                    return None
-                if plan.copy_elements:
-                    nbytes = length * plan.element_width
-                    out += read(element_base, nbytes)
-                    data_count += nbytes
-                else:  # INT/LONG arrays: zig-zag varint per element
-                    values = struct.unpack(
-                        f"<{length}{plan.varint_code}",
-                        read(element_base, length * plan.element_width),
-                    )
-                    for value in values:
-                        data_count += append_signed(out, value)
-                return None
-            instr += plan.ser_instr
-            reflect_instr += plan.ser_reflect_instr
-            value_fields += plan.n_prim
-            reference_fields += plan.n_ref
-            data_count += plan.enc_data_bytes
-            graph_bytes += plan.size_bytes
-            raw = read(obj.address, plan.size_bytes)
-            if plan.n_ref == 0:
-                for op, start, end in plan.enc_ops:
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    elif op == P.OP_VARINT:
-                        data_count += append_signed(
-                            out, _I64.unpack_from(raw, start)[0]
-                        )
-                    else:  # OP_FLOAT
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                return None
-            return [0, plan.enc_ops, 0, raw]
-
-        frame = emit(root)
-        stack: List[list] = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance: interleaved value/ref ops
-                ops = frame[1]
-                index = frame[2]
-                raw = frame[3]
-                op_count = len(ops)
-                while index < op_count:
-                    op, start, end = ops[index]
-                    index += 1
-                    if op == P.OP_COPY:
-                        out += raw[start:end]
-                    elif op == P.OP_VARINT:
-                        data_count += append_signed(
-                            out, _I64.unpack_from(raw, start)[0]
-                        )
-                    elif op == P.OP_FLOAT:
-                        out += _F32.pack(_F64.unpack_from(raw, start)[0])
-                    else:  # OP_REF
-                        address = _U64.unpack_from(raw, start)[0]
-                        if address == 0:
-                            out.append(MARK_NULL)
-                            mark_count += 1
-                        else:
-                            object_id = object_ids.get(address)
-                            if object_id is not None:
-                                out.append(MARK_BACKREF)
-                                mark_count += 1
-                                ref_count += append_varint(out, object_id)
-                            else:
-                                descend = emit(object_at(address))
-                                if descend is not None:
-                                    break
-                frame[2] = index
-            else:  # reference array
-                addresses = frame[1]
-                index = frame[2]
-                count = len(addresses)
-                while index < count:
-                    address = addresses[index]
-                    index += 1
-                    if address == 0:
-                        out.append(MARK_NULL)
-                        mark_count += 1
-                    else:
-                        object_id = object_ids.get(address)
-                        if object_id is not None:
-                            out.append(MARK_BACKREF)
-                            mark_count += 1
-                            ref_count += append_varint(out, object_id)
-                        else:
-                            descend = emit(object_at(address))
-                            if descend is not None:
-                                break
-                frame[2] = index
-            if descend is not None:
-                stack.append(descend)
-            else:
-                stack.pop()
-
-        data = bytes(out)
-        release_buffer(out)
-        instr += reflect_instr + len(data) * _INSTR_PER_STREAM_BYTE
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.dependent_loads = dep
-        profile.aux_random_accesses = aux
-        profile.bytes_read = graph_bytes
-        profile.bytes_written = len(data)
-        sections = {
-            _SECTION_MARKS: mark_count,
-            _SECTION_CLASS_IDS: class_id_count,
-        }
-        if data_count:
-            sections[_SECTION_DATA] = data_count
-        if ref_count:
-            sections[_SECTION_REFS] = ref_count
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=sections,
-            object_count=objects,
-            graph_bytes=graph_bytes,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
-
-    # ---------------------------------------------------- serialize (codegen kernel)
-
-    def _serialize_codegen(self, root: HeapObject) -> SerializationResult:
-        """Generated-kernel serialize: byte-identical to the plan tier.
-
-        Instance field data runs through generated straight-line segments
-        (inlined zig-zag varints included) over zero-copy heap views; the
-        segments return the data bytes they appended, so ``field_data``
-        accounting stays exact despite dynamic varint widths. Everything
-        shape-constant folds per cell at the end of the walk.
+        Per object: one per-call cell probe (the mark + class-ID varint
+        prefix depends on this instance's registration, so it is cached
+        per call, not in the shared plans), one bulk image read, then the
+        plan's merged copy/varint/float/ref ops. Shape-constant profile
+        deltas fold per shape at the end. Frames: 0 = instance with
+        reference fields, 1 = reference array, 2 = verbatim
+        primitive-array image and 3 = INT/LONG array values, the last two
+        only when they could write more than one sink step.
         """
+        ready, step = P.sink_state(out)
         heap = root.heap
         read = heap.memory.read
-        view = heap.memory.view
         object_at = heap.object_at
         header_slots = heap.header_slots
         id_of = self.registration.id_of
         append_varint = P.append_varint
         append_signed = P.append_signed_varint
-
-        out = acquire_buffer()
+        start = len(out)
 
         object_ids: Dict[int, int] = {}  # heap address -> object id
         next_object_id = 0
 
-        mark_dyn = 0  # null / backref markers
+        mark_dyn = 0
         ref_count = 0
         data_dyn = 0
         instr_dyn = 0
@@ -436,48 +231,43 @@ class KryoSerializer(Serializer):
         reference_fields_dyn = 0
         graph_bytes_dyn = 0
 
-        # klass -> [prefix, count, kind, plan, leaf, steps, size_bytes]
-        # kind: 0 = leaf instance, 1 = instance with refs, 2 = array;
-        # prefix fuses the mark byte with this registration's class-ID
-        # varint, so the per-object prelude is a single append.
+        # klass -> [prefix, count, plan, is_array]
         cells: Dict[Klass, list] = {}
 
-        def make_cell(klass: Klass) -> list:
-            plan = P.plan_for(self.name, klass, header_slots)
-            id_buffer = bytearray()
-            id_buffer.append(MARK_ARRAY if klass.is_array else MARK_OBJECT)
-            append_varint(id_buffer, id_of(klass))
-            prefix = bytes(id_buffer)
-            if klass.is_array:
-                cell = [prefix, 0, 2, plan, None, None, 0]
-            else:
-                kernel = CG.encode_kernel_for(self.name, klass, header_slots, plan)
-                kind = 0 if plan.n_ref == 0 else 1
-                cell = [
-                    prefix, 0, kind, plan,
-                    kernel.leaf, kernel.steps, plan.size_bytes,
-                ]
-            cells[klass] = cell
-            return cell
-
         def emit(obj: HeapObject):
+            """Emit one object's prelude (and a leaf's fields); returns a
+            frame if more of the object remains to be written."""
             nonlocal out, next_object_id, data_dyn, instr_dyn
             nonlocal value_fields_dyn, reference_fields_dyn, graph_bytes_dyn
             klass = obj.klass
             cell = cells.get(klass)
             if cell is None:
-                cell = make_cell(klass)
+                plan = P.plan_for(KryoSerializer.name, klass, header_slots)
+                is_array = klass.is_array
+                prefix = bytearray((MARK_ARRAY if is_array else MARK_OBJECT,))
+                append_varint(prefix, id_of(klass))
+                cell = cells[klass] = [bytes(prefix), 0, plan, is_array]
+            else:
+                plan = cell[2]
+                is_array = cell[3]
             out += cell[0]
             cell[1] += 1
             object_ids[obj.address] = next_object_id
             next_object_id += 1
-            kind = cell[2]
-            if kind == 0:  # leaf instance: one generated straight-line call
-                data_dyn += cell[4](out, view(obj.address, cell[6]))
+            if not is_array:
+                raw = read(obj.address, plan.size_bytes)
+                if plan.n_ref:
+                    return [0, plan.enc_ops, 0, raw]
+                for op, begin, end in plan.enc_ops:
+                    if op == P.OP_COPY:
+                        out += raw[begin:end]
+                    elif op == P.OP_VARINT:
+                        data_dyn += append_signed(
+                            out, _I64.unpack_from(raw, begin)[0]
+                        )
+                    else:  # OP_FLOAT
+                        out += _F32.pack(_F64.unpack_from(raw, begin)[0])
                 return None
-            if kind == 1:  # instance with reference fields
-                return [0, cell[5], 0, view(obj.address, cell[6])]
-            plan = cell[3]  # array: bulk element path, as in the plan tier
             length = obj.length
             data_dyn += append_varint(out, length)
             instr_dyn += length * plan.ser_elem_instr
@@ -494,34 +284,50 @@ class KryoSerializer(Serializer):
             value_fields_dyn += length
             if length == 0:
                 return None
+            nbytes = length * plan.element_width
+            image = read(element_base, nbytes)
             if plan.copy_elements:
-                nbytes = length * plan.element_width
-                out += read(element_base, nbytes)
                 data_dyn += nbytes
-            else:  # INT/LONG arrays: zig-zag varint per element
-                values = struct.unpack(
-                    f"<{length}{plan.varint_code}",
-                    read(element_base, length * plan.element_width),
-                )
-                for value in values:
-                    data_dyn += append_signed(out, value)
+                if nbytes > step:
+                    return [2, image]
+                out += image
+                return None
+            # INT/LONG arrays: zig-zag varint per element, <= 10 bytes each.
+            values = struct.unpack(f"<{length}{plan.varint_code}", image)
+            if length * 10 > step:
+                return [3, values]
+            for value in values:
+                data_dyn += append_signed(out, value)
             return None
 
         frame = emit(root)
         stack: List[list] = [frame] if frame is not None else []
         while stack:
+            if ready:
+                yield
             frame = stack[-1]
             descend = None
-            if frame[0] == 0:  # instance: generated segments + ref offsets
-                steps = frame[1]
+            kind = frame[0]
+            if kind == 0:  # instance: interleaved value/ref ops
+                ops = frame[1]
                 index = frame[2]
                 raw = frame[3]
-                step_count = len(steps)
-                while index < step_count:
-                    step = steps[index]
+                op_count = len(ops)
+                while index < op_count:
+                    if ready:
+                        yield
+                    op, begin, end = ops[index]
                     index += 1
-                    if step.__class__ is int:  # reference slot byte offset
-                        address = _U64.unpack_from(raw, step)[0]
+                    if op == P.OP_COPY:
+                        out += raw[begin:end]
+                    elif op == P.OP_VARINT:
+                        data_dyn += append_signed(
+                            out, _I64.unpack_from(raw, begin)[0]
+                        )
+                    elif op == P.OP_FLOAT:
+                        out += _F32.pack(_F64.unpack_from(raw, begin)[0])
+                    else:  # OP_REF
+                        address = _U64.unpack_from(raw, begin)[0]
                         if address == 0:
                             out.append(MARK_NULL)
                             mark_dyn += 1
@@ -535,14 +341,14 @@ class KryoSerializer(Serializer):
                                 descend = emit(object_at(address))
                                 if descend is not None:
                                     break
-                    else:
-                        data_dyn += step(out, raw)
                 frame[2] = index
-            else:  # reference array
+            elif kind == 1:  # reference array
                 addresses = frame[1]
                 index = frame[2]
                 count = len(addresses)
                 while index < count:
+                    if ready:
+                        yield
                     address = addresses[index]
                     index += 1
                     if address == 0:
@@ -559,13 +365,19 @@ class KryoSerializer(Serializer):
                             if descend is not None:
                                 break
                 frame[2] = index
+            elif kind == 2:  # verbatim primitive array, one step at a time
+                yield from P.write_slices(out, frame[1], ready, step)
+            else:  # INT/LONG array, one varint at a time
+                for value in frame[1]:
+                    if ready:
+                        yield
+                    data_dyn += append_signed(out, value)
             if descend is not None:
                 stack.append(descend)
             else:
                 stack.pop()
 
-        data = bytes(out)
-        release_buffer(out)
+        total = len(out) - start
 
         objects = 0
         instr = 0
@@ -575,34 +387,34 @@ class KryoSerializer(Serializer):
         class_id_count = 0
         value_fields = value_fields_dyn
         reference_fields = reference_fields_dyn
-        graph_bytes = graph_bytes_dyn
         data_count = data_dyn
-        for cell in cells.values():
-            count = cell[1]
-            plan = cell[3]
+        graph_bytes = graph_bytes_dyn
+        for prefix, count, plan, is_array in cells.values():
             objects += count
             aux += count * plan.ser_aux
             dep += count * plan.ser_dep
             mark_count += count
-            class_id_count += count * (len(cell[0]) - 1)
-            if cell[2] == 2:
+            class_id_count += count * (len(prefix) - 1)
+            if is_array:
                 instr += count * plan.ser_instr
             else:
                 instr += count * (plan.ser_instr + plan.ser_reflect_instr)
                 value_fields += count * plan.n_prim
                 reference_fields += count * plan.n_ref
+                data_count += count * plan.enc_data_bytes
                 graph_bytes += count * plan.size_bytes
-        instr += instr_dyn + len(data) * _INSTR_PER_STREAM_BYTE
+        instr += instr_dyn + total * _INSTR_PER_STREAM_BYTE
 
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.dependent_loads = dep
-        profile.aux_random_accesses = aux
-        profile.bytes_read = graph_bytes
-        profile.bytes_written = len(data)
+        profile = WorkProfile(
+            instructions=instr,
+            objects=objects,
+            value_fields=value_fields,
+            reference_fields=reference_fields,
+            bytes_read=graph_bytes,
+            bytes_written=total,
+            dependent_loads=dep,
+            aux_random_accesses=aux,
+        )
         sections = {
             _SECTION_MARKS: mark_count,
             _SECTION_CLASS_IDS: class_id_count,
@@ -611,15 +423,9 @@ class KryoSerializer(Serializer):
             sections[_SECTION_DATA] = data_count
         if ref_count:
             sections[_SECTION_REFS] = ref_count
-        stream = SerializedStream(
-            format_name=self.name,
-            data=data,
-            sections=sections,
-            object_count=objects,
-            graph_bytes=graph_bytes,
+        return P.EncodeSummary(
+            self.name, total, sections, profile, objects, graph_bytes
         )
-        stream.check_sections()
-        return SerializationResult(stream, profile)
 
     # ---------------------------------------------------------------- deserialize
 
@@ -630,8 +436,6 @@ class KryoSerializer(Serializer):
         limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
         limits = resolve_limits(limits)
-        if self.use_codegen:
-            return self._deserialize_codegen(stream, heap, limits)
         if self.use_plans:
             return self._deserialize_planned(stream, heap, limits)
         limits.check_stream_bytes(len(stream.data))
@@ -999,236 +803,6 @@ class KryoSerializer(Serializer):
         profile.instructions = instr
         profile.objects = objects
         profile.allocations = allocations
-        profile.value_fields = value_fields
-        profile.reference_fields = reference_fields
-        profile.aux_random_accesses = aux
-        profile.bytes_read = n_data
-        profile.bytes_written = graph_bytes
-        return DeserializationResult(root_obj, profile)
-
-    # -------------------------------------------------- deserialize (codegen kernel)
-
-    def _deserialize_codegen(
-        self, stream: SerializedStream, heap: Heap, limits: DecodeLimits
-    ) -> DeserializationResult:
-        """Generated-kernel deserialize: identical heap image and profile.
-
-        Field segments run as generated straight-line code with inlined
-        one-byte varint fast paths; class-ID and length varints get the
-        same fast path inline here. Shape-constant profile deltas fold
-        per cell at the end.
-        """
-        data = stream.data
-        n_data = len(data)
-        limits.check_stream_bytes(n_data)
-        max_objects = limits.max_objects
-        max_array_length = limits.max_array_length
-        max_depth = limits.max_depth
-        memory = heap.memory
-        header_slots = heap.header_slots
-        klass_of = self.registration.klass_of
-        read_varint = P.read_varint
-        read_signed = P.read_signed_varint
-        pos = 0
-
-        objects_by_id: List[HeapObject] = []
-
-        # klass -> [plan, count, kind, leaf, steps, field_count]
-        cells: Dict[Klass, list] = {}
-
-        objects = 0
-        instr_dyn = 0
-        value_fields_dyn = 0
-        reference_fields_dyn = 0
-        graph_bytes_dyn = 0
-
-        def underflow(count: int) -> FormatError:
-            return TruncatedStreamError(
-                offset=pos, needed=count, available=n_data - pos
-            )
-
-        def cell_for(klass: Klass) -> list:
-            plan = P.plan_for(self.name, klass, header_slots)
-            if klass.is_array:
-                cell = [plan, 0, 2, None, None, 0]
-            else:
-                kernel = CG.decode_kernel_for(self.name, klass, header_slots, plan)
-                kind = 0 if plan.n_ref == 0 else 1
-                cell = [plan, 0, kind, kernel.leaf, kernel.steps, plan.field_count]
-            cells[klass] = cell
-            return cell
-
-        def start_content():
-            nonlocal pos, objects, instr_dyn, value_fields_dyn
-            nonlocal reference_fields_dyn, graph_bytes_dyn
-            if pos >= n_data:
-                raise underflow(1)
-            mark = data[pos]
-            pos += 1
-            if mark == MARK_NULL:
-                return 0, None
-            if mark == MARK_BACKREF:
-                if pos < n_data and data[pos] < 128:  # 1-byte varint fast path
-                    object_id = data[pos]
-                    pos += 1
-                else:
-                    object_id, pos = read_varint(data, pos)
-                if object_id >= len(objects_by_id):
-                    raise FormatError(f"forward object reference {object_id}")
-                return 0, objects_by_id[object_id]
-            if mark not in (MARK_OBJECT, MARK_ARRAY):
-                raise FormatError(f"unexpected marker {mark:#x}")
-            if pos < n_data and data[pos] < 128:  # 1-byte varint fast path
-                class_id = data[pos]
-                pos += 1
-            else:
-                class_id, pos = read_varint(data, pos)
-            klass = klass_of(class_id, offset=pos)
-            cell = cells.get(klass)
-            if cell is None:
-                cell = cell_for(klass)
-            objects += 1
-            if objects > max_objects:
-                limits.check_objects(objects)
-            cell[1] += 1
-            kind = cell[2]
-            if mark == MARK_ARRAY:
-                if kind != 2:
-                    raise FormatError("array marker with non-array class ID")
-                plan = cell[0]
-                length, pos = read_varint(data, pos)
-                if length > max_array_length:
-                    limits.check_array_length(length)
-                obj = heap.allocate(klass, length)
-                objects_by_id.append(obj)
-                instr_dyn += length * plan.de_elem_instr
-                graph_bytes_dyn += obj.size_bytes
-                if plan.is_ref:
-                    reference_fields_dyn += length
-                    if length == 0:
-                        return 0, obj
-                    return 1, [1, obj, [0] * length, 0]
-                value_fields_dyn += length
-                if length == 0:
-                    return 0, obj
-                element_base = obj.fields_base + 8
-                if plan.copy_elements:
-                    nbytes = length * plan.element_width
-                    if pos + nbytes > n_data:
-                        raise underflow(nbytes)
-                    memory.write(element_base, data[pos:pos + nbytes])
-                    pos += nbytes
-                else:  # INT/LONG arrays: zig-zag varint per element
-                    values = []
-                    for _ in range(length):
-                        value, pos = read_signed(data, pos)
-                        values.append(value)
-                    memory.write(
-                        element_base,
-                        struct.pack(f"<{length}{plan.varint_code}", *values),
-                    )
-                return 0, obj
-            if kind == 2:
-                raise FormatError("object marker with array class ID")
-            obj = heap.allocate(klass)
-            objects_by_id.append(obj)
-            words = [0] * cell[5]
-            if kind == 0:  # leaf instance: one generated straight-line call
-                pos = cell[3](data, pos, words)
-                if words:
-                    memory.write_words(obj.fields_base, words)
-                return 0, obj
-            return 1, [0, obj, cell[4], 0, words]
-
-        _UNSET = object()
-        kind, payload = start_content()
-        if kind == 0:
-            if payload is None:
-                raise FormatError("stream root must be an object")
-            root_obj = payload
-            stack: List[list] = []
-        else:
-            stack = [payload]
-            root_obj = payload[1]
-        pending = _UNSET
-        while stack:
-            frame = stack[-1]
-            descend = None
-            if frame[0] == 0:  # instance frame: segments + ref field indices
-                obj, steps, words = frame[1], frame[2], frame[4]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[steps[index]] = 0 if child is None else child.address
-                    index += 1
-                step_count = len(steps)
-                while index < step_count:
-                    step = steps[index]
-                    if step.__class__ is int:  # reference field index
-                        kind, payload = start_content()
-                        if kind == 0:
-                            words[step] = 0 if payload is None else payload.address
-                            index += 1
-                        else:
-                            descend = payload
-                            break
-                    else:
-                        pos = step(data, pos, words)
-                        index += 1
-                frame[3] = index
-                if descend is None:
-                    if words:
-                        memory.write_words(obj.fields_base, words)
-                    stack.pop()
-                    pending = obj
-            else:  # reference-array frame
-                obj, words = frame[1], frame[2]
-                index = frame[3]
-                if pending is not _UNSET:
-                    child, pending = pending, _UNSET
-                    words[index] = 0 if child is None else child.address
-                    index += 1
-                count = len(words)
-                while index < count:
-                    kind, payload = start_content()
-                    if kind == 0:
-                        words[index] = 0 if payload is None else payload.address
-                        index += 1
-                    else:
-                        descend = payload
-                        break
-                frame[3] = index
-                if descend is None:
-                    memory.write_words(obj.fields_base + 8, words)
-                    stack.pop()
-                    pending = obj
-            if descend is not None:
-                if len(stack) >= max_depth:
-                    limits.check_depth(len(stack) + 1)
-                stack.append(descend)
-
-        instr = instr_dyn
-        aux = 0
-        value_fields = value_fields_dyn
-        reference_fields = reference_fields_dyn
-        graph_bytes = graph_bytes_dyn
-        for cell in cells.values():
-            count = cell[1]
-            plan = cell[0]
-            aux += count * plan.de_aux
-            if cell[2] == 2:
-                instr += count * plan.de_instr
-            else:
-                instr += count * (plan.de_instr + plan.de_reflect_instr)
-                value_fields += count * plan.n_prim
-                reference_fields += count * plan.n_ref
-                graph_bytes += count * plan.size_bytes
-        instr += n_data * _INSTR_PER_STREAM_BYTE
-
-        profile = WorkProfile()
-        profile.instructions = instr
-        profile.objects = objects
-        profile.allocations = objects
         profile.value_fields = value_fields
         profile.reference_fields = reference_fields
         profile.aux_random_accesses = aux

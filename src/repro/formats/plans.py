@@ -49,6 +49,7 @@ available as the oracle via ``use_plans=False`` (see
 from __future__ import annotations
 
 import struct
+import sys
 from hashlib import sha256
 from typing import Dict, List, Tuple
 
@@ -622,38 +623,60 @@ def _compile_cereal(klass: Klass, header_slots: int, length: int):
     return plan
 
 
-# -- chunked execution ---------------------------------------------------------------
+# -- sink-driven walks ---------------------------------------------------------------
 #
-# The plan/codegen kernels above are append-only writers: every byte they
-# produce goes through ``out += ...`` / ``out.append(...)`` and the only
-# read-back they perform is ``len(out)`` (to measure what a step wrote).
-# That contract is what makes the executor chunkable: a
-# :class:`ChunkingBuffer` honors exactly that interface while carving the
-# output into fixed-size arenas from a
-# :class:`~repro.common.bufpool.ChunkArenaPool`, and an
-# :class:`EncodeCursor` drives a generator-based plan walk that suspends
-# at chunk boundaries — the walk's explicit frame stack *is* the resume
-# state, so continuing never re-visits an already-encoded object.
+# Every format has exactly one production encode: a generator *walk*
+# written against a sink. The walk only ever appends (``out += ...``,
+# ``out.append(...)``) and reads back ``len(out)``, so the sink is either
+# a flat ``bytearray`` or a :class:`ChunkingBuffer` that honors the same
+# interface while carving the output into fixed-size arenas. Before each
+# bounded write the walk polls the sink's list of sealed chunks and
+# yields while it is non-empty; the walk's explicit frame stack *is* the
+# resume state, so continuing never re-visits an already-encoded object.
+# A flat buffer never seals, so ``serialize()`` drains the walk without it
+# ever suspending, and every write stays a native ``bytearray`` append.
+
+
+def sink_state(out) -> Tuple[object, int]:
+    """``(ready, step)`` for a walk writing into ``out``.
+
+    ``ready`` is the sink's list of sealed chunks (the walk yields while
+    it is non-empty) and ``step`` the largest blob the walk may append in
+    one uninterruptible write. A flat ``bytearray`` gets an always-empty
+    ``ready`` and an unbounded ``step``: the walk never yields into it.
+    """
+    if isinstance(out, ChunkingBuffer):
+        return out.ready, out.chunk_bytes
+    return (), sys.maxsize
+
+
+def write_slices(out, data, ready, step: int):
+    """Append ``data`` to ``out`` in ``step``-sized slices, yielding
+    whenever a chunk is sealed (bounds arena demand for large blobs)."""
+    for offset in range(0, len(data), step):
+        if ready:
+            yield
+        out += data[offset:offset + step]
 
 
 class ChunkingBuffer:
     """An append-only output buffer that carves fixed-size chunk arenas.
 
-    Drop-in for the ``bytearray`` the plan/codegen kernels write into:
-    supports ``append``/``extend``/``+=`` and ``len()`` — where ``len()``
-    reports the *logical* stream position (total bytes ever written), so
-    kernels that measure a step via ``base = len(out) ... len(out) - base``
-    see exactly the numbers they would against a flat buffer.
+    Drop-in for the ``bytearray`` an encode walk writes into: supports
+    ``append``/``extend``/``+=`` and ``len()`` — where ``len()`` reports
+    the *logical* stream position (total bytes ever written), so a walk
+    measuring what it wrote via ``len(out) - start`` sees exactly the
+    numbers it would against a flat buffer.
 
     Writes land in the current arena; the instant it reaches
-    ``chunk_bytes`` it is sealed onto the ready list and a fresh arena is
-    acquired from the pool. One oversized ``extend`` seals as many full
+    ``chunk_bytes`` it is sealed onto the ``ready`` list and a fresh arena
+    is acquired from the pool. One oversized ``extend`` seals as many full
     chunks as it spans — every sealed chunk is *exactly* ``chunk_bytes``
     long, so chunk boundaries are deterministic functions of the byte
     stream alone (resume-determinism relies on this).
     """
 
-    __slots__ = ("chunk_bytes", "_pool", "_block", "_current", "_ready", "_total")
+    __slots__ = ("chunk_bytes", "ready", "_pool", "_block", "_current", "_total")
 
     def __init__(self, chunk_bytes: int, pool=None, block: bool = False):
         if chunk_bytes <= 0:
@@ -668,15 +691,11 @@ class ChunkingBuffer:
         self._pool = pool
         self._block = block
         self._current = pool.acquire(block=block)
-        self._ready: List[bytearray] = []
+        self.ready: List[bytearray] = []
         self._total = 0
 
     def __len__(self) -> int:
         return self._total
-
-    @property
-    def ready_count(self) -> int:
-        return len(self._ready)
 
     def append(self, byte: int) -> None:
         self._total += 1
@@ -708,13 +727,13 @@ class ChunkingBuffer:
         return self
 
     def _seal(self) -> None:
-        self._ready.append(self._current)
+        self.ready.append(self._current)
         self._current = self._pool.acquire(block=self._block)
 
     def pop_ready(self):
         """The oldest sealed chunk arena, or ``None``."""
-        if self._ready:
-            return self._ready.pop(0)
+        if self.ready:
+            return self.ready.pop(0)
         return None
 
     def flush_tail(self) -> None:
@@ -726,7 +745,7 @@ class ChunkingBuffer:
             return
         self._current = None
         if len(cur):
-            self._ready.append(cur)
+            self.ready.append(cur)
         else:
             self._pool.release(cur)
 
@@ -739,45 +758,51 @@ class ChunkingBuffer:
         if self._current is not None:
             self._pool.release(self._current)
             self._current = None
-        while self._ready:
-            self._pool.release(self._ready.pop())
+        while self.ready:
+            self._pool.release(self.ready.pop())
 
 
-class ChunkedEncodeSummary:
-    """What a fully-drained :class:`EncodeCursor` produced, minus the
-    bytes themselves (those went through the sink chunk by chunk)."""
+class EncodeSummary:
+    """What a fully-drained encode walk produced, minus the bytes
+    themselves (those went into the sink)."""
 
     __slots__ = (
         "format_name",
         "total_bytes",
-        "chunk_count",
         "sections",
         "profile",
         "object_count",
         "graph_bytes",
     )
 
-    def __init__(self, format_name, total_bytes, chunk_count, sections,
-                 profile, object_count, graph_bytes):
+    def __init__(self, format_name, total_bytes, sections, profile,
+                 object_count, graph_bytes):
         self.format_name = format_name
         self.total_bytes = total_bytes
-        self.chunk_count = chunk_count
         self.sections = sections
         self.profile = profile
         self.object_count = object_count
         self.graph_bytes = graph_bytes
 
 
+def drain(walk) -> EncodeSummary:
+    """Run a walk that writes into a flat buffer to completion."""
+    try:
+        next(walk)
+    except StopIteration as stop:
+        return stop.value
+    raise FormatError("encode walk suspended on a flat buffer")
+
+
 class EncodeCursor:
     """A resumable handle over one chunked encode.
 
-    Wraps a *walk* — a generator that encodes the object graph into a
-    :class:`ChunkingBuffer`, yielding at every safe suspension point (its
-    local frame stack carries all traversal state) and returning a
-    :class:`ChunkedEncodeSummary`. ``next_chunk()`` advances the walk
-    only as far as the next sealed chunk, so the producer never runs
-    ahead of its consumer by more than the pool population: backpressure
-    reaches the plan executor itself.
+    Wraps a serializer's encode walk writing into a
+    :class:`ChunkingBuffer`; the walk yields at every safe suspension
+    point and returns an :class:`EncodeSummary`. ``next_chunk()``
+    advances the walk only as far as the next sealed chunk, so the
+    producer never runs ahead of its consumer by more than the pool
+    population: backpressure reaches the encoder itself.
 
     The caller owns each returned arena until it hands it back via
     ``recycle()`` — the pull loop is::
@@ -803,12 +828,18 @@ class EncodeCursor:
     def next_chunk(self):
         """The next sealed chunk arena, or ``None`` at end of stream."""
         buf = self._buffer
-        while not buf.ready_count and not self._exhausted:
+        while not buf.ready and not self._exhausted:
             try:
                 next(self._walk)
             except StopIteration as stop:
                 self._exhausted = True
-                self.summary = stop.value
+                self.summary = summary = stop.value
+                declared = sum(summary.sections.values())
+                if declared != summary.total_bytes:
+                    raise FormatError(
+                        f"{summary.format_name} encode walk: sections sum "
+                        f"to {declared}, stream is {summary.total_bytes} bytes"
+                    )
                 buf.flush_tail()
         chunk = buf.pop_ready()
         if chunk is None:

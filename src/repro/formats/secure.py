@@ -49,7 +49,6 @@ from repro.common.errors import (
 )
 from repro.formats.base import (
     DeserializationResult,
-    SerializationResult,
     SerializedStream,
     Serializer,
     WorkProfile,
@@ -62,6 +61,7 @@ from repro.formats.kryo import (
     MARK_OBJECT,
 )
 from repro.formats.limits import DEFAULT_LIMITS, DecodeLimits, resolve_limits
+from repro.formats.plans import sink_state, write_slices
 from repro.formats.registry import ClassRegistration
 from repro.formats.streams import StreamReader, StreamWriter
 from repro.jvm.heap import Heap, HeapObject
@@ -453,22 +453,19 @@ class VersionedKryo(Serializer):
 
     # ------------------------------------------------------------------ serialize
 
-    def serialize(self, root: HeapObject) -> SerializationResult:
-        result = self.kryo.serialize(root)
+    def encode_walk(self, root: HeapObject, out):
+        """The schema header describing this registration, then the
+        ordinary Kryo walk's payload."""
+        ready, step = sink_state(out)
         header = StreamWriter()
         write_schema_header(header, self.registration)
-        sections = {_SECTION_SCHEMA: len(header)}
-        sections.update(result.stream.sections)
-        result.profile.bytes_written += len(header)
-        stream = SerializedStream(
-            format_name=self.name,
-            data=header.getvalue() + result.stream.data,
-            sections=sections,
-            object_count=result.stream.object_count,
-            graph_bytes=result.stream.graph_bytes,
-        )
-        stream.check_sections()
-        return SerializationResult(stream, result.profile)
+        yield from write_slices(out, header.getvalue(), ready, step)
+        summary = yield from self.kryo.encode_walk(root, out)
+        summary.format_name = self.name
+        summary.total_bytes += len(header)
+        summary.sections = {_SECTION_SCHEMA: len(header), **summary.sections}
+        summary.profile.bytes_written += len(header)
+        return summary
 
     # ---------------------------------------------------------------- deserialize
 

@@ -1,12 +1,12 @@
 """Shared LEB128 / zig-zag varint codecs.
 
 One implementation serves every consumer: the section-accounting stream
-layer (:mod:`repro.formats.streams`), the compiled-plan kernels
-(:mod:`repro.formats.plans`), and the generated codegen kernels
-(:mod:`repro.formats.codegen`). Historically ``plans.py`` carried its own
-copy of these helpers parallel to ``StreamWriter``/``StreamReader``; both
-now route through here so the 10-byte overflow guard, the zig-zag
-mapping, and the error taxonomy cannot drift apart.
+layer (:mod:`repro.formats.streams`) and the Kryo encode walk and plan
+decoder (through :mod:`repro.formats.plans`). Historically ``plans.py``
+carried its own copy of these helpers parallel to
+``StreamWriter``/``StreamReader``; both now route through here so the
+10-byte overflow guard, the zig-zag mapping, and the error taxonomy
+cannot drift apart.
 
 Encoding is Kryo's little-endian base-128: seven payload bits per byte,
 high bit set on every byte except the last. Signed values are zig-zag

@@ -19,7 +19,7 @@ Three policies ship:
   demoted tier will charge on every future read, scaled by the entry's
   observed read count) is weighed against the bytes of pressure the
   demotion releases. This is the policy the paper's tradeoff motivates:
-  when S/D is cheap (plans/codegen/Cereal), demoting is nearly free and
+  when S/D is cheap (plans/Cereal), demoting is nearly free and
   the policy behaves like ``size``; when S/D is expensive (java
   interpreter), hot entries are kept on-heap at almost any GC price.
 """

@@ -37,7 +37,6 @@ from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.bufpool import pool_stats
 from repro.faults.injector import FaultInjector
-from repro.formats.codegen import codegen_cache_stats
 from repro.formats.plans import plan_cache_stats
 from repro.formats.secure import decode_stats
 from repro.formats.verify import graphs_equivalent
@@ -799,7 +798,6 @@ class SerializationServer:
             verified_requests=self.verified_requests,
             runtime_caches={
                 "plan_cache": plan_cache_stats(),
-                "codegen_cache": codegen_cache_stats(),
                 "layout_cache": layout_cache_stats(),
                 "buffer_pool": pool_stats(),
                 "secure_decode": decode_stats(),

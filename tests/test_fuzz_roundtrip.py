@@ -186,12 +186,9 @@ def _make_serializers(registry: KlassRegistry):
         registration.register(klass)
     return {
         "java-builtin": JavaSerializer(),
-        "java-codegen": JavaSerializer(use_codegen=True),
         "kryo": KryoSerializer(registration),
-        "kryo-codegen": KryoSerializer(registration, use_codegen=True),
         "skyway": SkywaySerializer(registration),
         "cereal": CerealSerializer(registration),
-        "cereal-codegen": CerealSerializer(registration, use_codegen=True),
     }
 
 

@@ -53,27 +53,12 @@ def _registration(registry) -> ClassRegistration:
 
 
 def _serializer_pairs(registration):
-    """(name, fast-path serializer, interpreter-path serializer) triples.
-
-    Both accelerated tiers appear against the same interpreter oracle —
-    plan-path and codegen-path entries — so these checks pin the full
-    three-way interpreter/plan/codegen equivalence.
-    """
+    """(name, production serializer, interpreter-path oracle) triples."""
     return [
         ("java-builtin", JavaSerializer(), JavaSerializer(use_plans=False)),
         (
-            "java-codegen",
-            JavaSerializer(use_codegen=True),
-            JavaSerializer(use_plans=False),
-        ),
-        (
             "kryo",
             KryoSerializer(registration),
-            KryoSerializer(registration, use_plans=False),
-        ),
-        (
-            "kryo-codegen",
-            KryoSerializer(registration, use_codegen=True),
             KryoSerializer(registration, use_plans=False),
         ),
         (
@@ -82,22 +67,8 @@ def _serializer_pairs(registration):
             CerealSerializer(registration, use_plans=False),
         ),
         (
-            "cereal-codegen",
-            CerealSerializer(registration, use_codegen=True),
-            CerealSerializer(registration, use_plans=False),
-        ),
-        (
             "cereal-stripped",
             CerealSerializer(registration, strip_mark_word=True),
-            CerealSerializer(
-                registration, strip_mark_word=True, use_plans=False
-            ),
-        ),
-        (
-            "cereal-stripped-codegen",
-            CerealSerializer(
-                registration, strip_mark_word=True, use_codegen=True
-            ),
             CerealSerializer(
                 registration, strip_mark_word=True, use_plans=False
             ),
@@ -184,7 +155,7 @@ def test_plans_match_interpreters_on_edge_shapes():
 
     # All-null shapes: an untouched instance (every reference field null,
     # every primitive zero) and a reference array of nothing but nulls —
-    # the codegen null fast paths must fold identically to the oracles.
+    # the walks' per-shape profile folds must match the oracles.
     all_null = heap.new_instance("FuzzNode")
     null_array = heap.new_array(FieldKind.REFERENCE, 64)
 
@@ -435,14 +406,12 @@ def test_slo_report_carries_runtime_cache_stats():
     assert caches is not None
     assert set(caches) == {
         "plan_cache",
-        "codegen_cache",
         "layout_cache",
         "buffer_pool",
         "secure_decode",
     }
     summary = report.as_dict()
     assert summary["runtime_caches"]["plan_cache"]["hit_rate"] >= 0.0
-    assert summary["runtime_caches"]["codegen_cache"]["hit_rate"] >= 0.0
     rendered = report.to_table().render()
     assert "plan hit rate" in rendered
-    assert "codegen hit rate" in rendered
+    assert "layout hit rate" in rendered

@@ -3,9 +3,10 @@
 Covers the chunked encode/decode stack end to end:
 
 * chunk frame integrity (CRC, sequence order, LAST flag, truncation);
-* byte identity between chunked and single-shot encodes for all four
-  formats across adversarial chunk sizes (1 byte, primes, larger than
-  the payload) — the interpreter single-shot path is the oracle;
+* byte, section and profile identity between chunked encodes and the
+  interpreter oracle (java/kryo/cereal) or the pinned golden stream
+  (skyway) across adversarial chunk sizes (1 byte, primes, larger than
+  the payload);
 * bounded arena pools as the backpressure primitive (blocking acquires,
   overflow accounting, high-water marks);
 * the secure per-chunk decode front end (incremental limits, rejection
@@ -16,6 +17,7 @@ Covers the chunked encode/decode stack end to end:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
@@ -36,21 +38,33 @@ from repro.formats import (
     DecodeLimits,
     JavaSerializer,
     KryoSerializer,
+    SerializedStream,
+    Serializer,
     SkywaySerializer,
+    VersionedKryo,
+    WorkProfile,
     collect_chunks,
     frame_chunk,
     secure_deserialize_chunks,
     unframe_chunk,
 )
+from repro.formats.secure import write_schema_header
+from repro.formats.slow_reference import oracle_serializer
 from repro.formats.streams import (
     BoundedChunkQueue,
     CHUNK_HEADER_BYTES,
     StreamReader,
+    StreamWriter,
 )
 from repro.formats.verify import graphs_equivalent
 from repro.jvm import FieldKind, Heap
 from repro.obs.trace import Tracer
 
+from tests.test_format_stability import (
+    GOLDEN_SHA256,
+    _golden_registry,
+    build_golden_graph,
+)
 from tests.test_fuzz_roundtrip import build_fuzz_graph, fuzz_registry
 
 CHUNK_SIZES = (1, 7, 61, 4096, 1 << 20)
@@ -163,29 +177,83 @@ class TestChunkAssembler:
 # -- chunked encode equivalence --------------------------------------------------------
 
 
+# Skyway has no interpreter oracle, so its golden-graph stream is pinned:
+# the bytes by ``GOLDEN_SHA256["skyway"]``, the sections and profile here,
+# recorded from the StreamWriter-based encoder the walk replaced. Three
+# objects (Mixed, Node, Point: 11 slots, 3 of them references), 24-byte
+# headers; instructions are 3*2000 + 11*4 + 3*110 per
+# object/slot/reference plus 160 // 8 for the copy.
+_SKYWAY_GOLDEN_SECTIONS = {
+    "metadata": 8, "headers": 72, "values": 64, "references": 24,
+}
+_SKYWAY_GOLDEN_PROFILE = WorkProfile(
+    instructions=6394,
+    objects=3,
+    value_fields=8,
+    reference_fields=3,
+    bytes_read=160,
+    bytes_written=168,
+    dependent_loads=6,
+    aux_random_accesses=6,
+)
+
+
+def _assert_chunks_match(chunks, summary, stream, profile, chunk_bytes, pool):
+    name = summary.format_name
+    assert b"".join(chunks) == stream.data, name
+    assert summary.total_bytes == len(stream.data), name
+    assert summary.sections == dict(stream.sections), name
+    assert summary.object_count == stream.object_count, name
+    assert summary.profile == profile, name
+    # Every chunk but the tail is exactly one arena.
+    for chunk in chunks[:-1]:
+        assert len(chunk) == chunk_bytes
+    if chunks:
+        assert 0 < len(chunks[-1]) <= chunk_bytes
+    # Pulled one-at-a-time, the pool never holds more than one arena in
+    # flight: the high-water mark is chunk-sized.
+    assert pool.high_water_mark <= chunk_bytes
+
+
 class TestChunkedEncodeEquivalence:
     @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
     def test_concatenation_matches_single_shot(self, chunk_bytes):
+        """Chunked encodes match the interpreter oracle (java/kryo/cereal)
+        and the pinned golden Skyway stream: bytes, sections, object count
+        and the full work profile."""
         registry, heap, root = _graph()
         registration = _registration(registry)
-        for serializer in _serializers(registration):
-            whole = serializer.serialize(root)
+        for serializer in _serializers(registration)[:3]:
+            oracle = oracle_serializer(
+                serializer.name,
+                **({} if serializer.name == "java-builtin"
+                   else {"registration": registration}),
+            )
+            expected = oracle.serialize(root)
             pool = ChunkArenaPool(arena_count=4, arena_bytes=chunk_bytes)
             chunks, summary = collect_chunks(
                 serializer, root, chunk_bytes, pool=pool
             )
-            assert b"".join(chunks) == whole.stream.data, serializer.name
-            assert summary.total_bytes == len(whole.stream.data)
-            assert summary.sections == dict(whole.stream.sections)
-            assert summary.object_count == whole.stream.object_count
-            # Every chunk but the tail is exactly one arena.
-            for chunk in chunks[:-1]:
-                assert len(chunk) == chunk_bytes
-            if chunks:
-                assert 0 < len(chunks[-1]) <= chunk_bytes
-            # Pulled one-at-a-time, the pool never holds more than one
-            # arena in flight: the high-water mark is chunk-sized.
-            assert pool.high_water_mark <= chunk_bytes
+            _assert_chunks_match(
+                chunks, summary, expected.stream, expected.profile,
+                chunk_bytes, pool,
+            )
+
+        registry = _golden_registry()
+        root = build_golden_graph(Heap(registry=registry))
+        pool = ChunkArenaPool(arena_count=4, arena_bytes=chunk_bytes)
+        chunks, summary = collect_chunks(
+            SkywaySerializer(_registration(registry)), root, chunk_bytes,
+            pool=pool,
+        )
+        data = b"".join(chunks)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256["skyway"]
+        golden = SerializedStream(
+            "skyway", data, _SKYWAY_GOLDEN_SECTIONS, object_count=3
+        )
+        _assert_chunks_match(
+            chunks, summary, golden, _SKYWAY_GOLDEN_PROFILE, chunk_bytes, pool
+        )
 
     def test_cursor_resume_is_deterministic(self):
         registry, heap, root = _graph()
@@ -222,23 +290,103 @@ class TestChunkedEncodeEquivalence:
         assert bytes(assembler.payload()) == whole.stream.data
 
     def test_unknown_format_rejected(self):
-        registry, heap, root = _graph()
+        """A serializer class that defines no encode walk has no stream
+        format to chunk (or serialize): it cannot be instantiated."""
 
-        class Alien(KryoSerializer):
+        class Alien(Serializer):
             name = "alien"
 
-        alien = Alien(_registration(registry))
-        with pytest.raises(FormatError, match="no chunked walk"):
-            alien.serialize_chunks(root, 64).next_chunk()
+            def deserialize(self, stream, heap, limits=None):
+                raise NotImplementedError
 
-    def test_codegen_and_interpreter_agree_chunked(self):
+        with pytest.raises(TypeError, match="encode_walk"):
+            Alien()
+
+    def test_oracle_configured_serializers_chunk_like_their_oracle(self):
+        """``use_plans=False`` selects the interpreter for ``serialize()``
+        only; chunking such an instance still runs the production walk,
+        and its chunks equal the interpreter's bytes."""
         registry, heap, root = _graph()
         registration = _registration(registry)
-        plain = CerealSerializer(registration, use_plans=False)
-        codegen = CerealSerializer(registration, use_codegen=True)
-        chunks_plain, _ = collect_chunks(plain, root, 251)
-        chunks_codegen, _ = collect_chunks(codegen, root, 251)
-        assert b"".join(chunks_plain) == b"".join(chunks_codegen)
+        for oracle in (
+            JavaSerializer(use_plans=False),
+            KryoSerializer(registration, use_plans=False),
+            CerealSerializer(registration, use_plans=False),
+            CerealSerializer(
+                registration, use_plans=False, strip_mark_word=True
+            ),
+            CerealSerializer(registration, use_plans=False, use_packing=False),
+        ):
+            chunks, summary = collect_chunks(oracle, root, 251)
+            expected = oracle.serialize(root)
+            assert b"".join(chunks) == expected.stream.data, oracle.name
+            assert summary.sections == expected.stream.sections
+            assert summary.profile == expected.profile
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+    def test_versioned_kryo_chunks_match_single_shot(self, chunk_bytes):
+        """The schema header plus the Kryo walk, chunked: byte-identical to
+        the header followed by the interpreter oracle's Kryo payload, and
+        the stream decodes back to the graph."""
+        registry, heap, root = _graph()
+        registration = _registration(registry)
+        serializer = VersionedKryo(registration)
+        pool = ChunkArenaPool(arena_count=4, arena_bytes=chunk_bytes)
+        chunks, summary = collect_chunks(
+            serializer, root, chunk_bytes, pool=pool
+        )
+        header = StreamWriter()
+        write_schema_header(header, registration)
+        payload = KryoSerializer(registration, use_plans=False).serialize(root)
+        profile = payload.profile
+        profile.bytes_written += len(header)
+        expected = SerializedStream(
+            "kryo-versioned",
+            header.getvalue() + payload.stream.data,
+            {"schema": len(header), **payload.stream.sections},
+            object_count=payload.stream.object_count,
+        )
+        _assert_chunks_match(
+            chunks, summary, expected, profile, chunk_bytes, pool
+        )
+        assert summary.format_name == "kryo-versioned"
+        whole = serializer.serialize(root)
+        assert whole.stream.data == expected.data
+        assert whole.stream.sections == expected.sections
+        rebuilt = serializer.deserialize(
+            whole.stream, Heap(registry=registry)
+        ).root
+        assert graphs_equivalent(root, rebuilt)
+
+
+class TestChunkedModelledCost:
+    """``SoftwarePlatform.run_serialize_chunked`` prices a chunked encode
+    exactly like ``run_serialize``: chunking changes when bytes leave,
+    not the heap trace or the work that produces them."""
+
+    @pytest.mark.parametrize("chunk_bytes", (1, 7, 64, 4096, 1 << 20))
+    @pytest.mark.parametrize("seed", (1, 5, 9))
+    def test_chunked_encode_costs_the_same(self, seed, chunk_bytes):
+        from repro.cpu import SoftwarePlatform
+
+        registry = fuzz_registry()
+        heap = Heap(registry=registry)
+        root = build_fuzz_graph(heap, seed=seed)
+        registry.array_klass(FieldKind.REFERENCE)
+        platform = SoftwarePlatform()
+        for serializer in _serializers(_registration(registry)):
+            whole, whole_run = platform.run_serialize(serializer, root)
+            chunked, chunked_run, chunks = platform.run_serialize_chunked(
+                serializer, root, chunk_bytes
+            )
+            name = serializer.name
+            assert b"".join(chunks) == whole.stream.data, name
+            assert chunked.stream.data == whole.stream.data, name
+            assert chunked.profile == whole.profile, name
+            expected, got = whole_run.timing, chunked_run.timing
+            assert got.cycles == expected.cycles, name
+            assert got.instructions == expected.instructions, name
+            assert got.llc_miss_rate == expected.llc_miss_rate, name
 
 
 # -- secure per-chunk decode -----------------------------------------------------------
