@@ -11,11 +11,11 @@ paper's observation that S/D is dominated by random, dependent misses.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import CacheLevelConfig, HostCPUConfig
-from repro.memory.trace import AccessKind, MemoryAccess
+from repro.memory.trace import AccessKind
 
 
 @dataclass
@@ -55,18 +55,26 @@ class CacheStats:
 
 
 class _SetAssociativeCache:
-    """One LRU cache level, tracked at line granularity."""
+    """One LRU cache level, tracked at line granularity.
+
+    A set is created the first time a line maps to it, so building a level
+    costs nothing and a replay costs what its lines touch, not the size of
+    the cache (the 11 MB L3 has 16k sets; one S/D op touches a few).
+    """
 
     def __init__(self, config: CacheLevelConfig):
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.associativity
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: Dict[int, OrderedDict] = {}
 
     def access(self, line: int, is_write: bool) -> bool:
         """Touch ``line``; returns True on hit. Misses install the line."""
         index = line % self.num_sets
-        ways = self._sets[index]
+        ways = self._sets.get(index)
+        if ways is None:
+            self._sets[index] = OrderedDict(((line, is_write),))
+            return False
         if line in ways:
             ways.move_to_end(line)
             if is_write:
@@ -76,10 +84,6 @@ class _SetAssociativeCache:
         if len(ways) > self.ways:
             ways.popitem(last=False)
         return False
-
-    def evicted_dirty(self, line: int) -> bool:
-        index = line % self.num_sets
-        return self._sets[index].get(line, False)
 
 
 class _PrefetchClassifier:
@@ -98,7 +102,7 @@ class _PrefetchClassifier:
 
 
 class CacheHierarchy:
-    """L1D + L2 + L3 replayed over line-granular accesses."""
+    """L1D + L2 + L3 replayed over byte-range accesses."""
 
     def __init__(self, host: Optional[HostCPUConfig] = None):
         self.host = host or HostCPUConfig()
@@ -109,34 +113,50 @@ class CacheHierarchy:
         self.stats = CacheStats()
         self._prefetch = _PrefetchClassifier()
 
-    def access_line(self, line: int, is_write: bool) -> None:
-        stats = self.stats
-        stats.accesses += 1
-        if self.l1.access(line, is_write):
-            stats.l1_hits += 1
-            return
-        if self.l2.access(line, is_write):
-            stats.l2_hits += 1
-            return
-        if self.l3.access(line, is_write):
-            stats.l3_hits += 1
-            return
-        stats.dram_accesses += 1
-        if is_write:
-            stats.write_misses += 1
-            stats.writeback_lines += 1  # allocated line eventually written back
-        if self._prefetch.is_sequential(line):
-            stats.sequential_misses += 1
-        else:
-            stats.random_misses += 1
+    def replay(self, accesses: Iterable[Tuple[AccessKind, int, int]]) -> CacheStats:
+        """Replay ``(kind, address, length)`` accesses (``MemoryAccess``
+        records or plain tuples); returns the running stats.
 
-    def replay(self, accesses: Iterable[MemoryAccess]) -> CacheStats:
-        """Replay per-line accesses (see ``MemoryTrace.line_accesses``)."""
+        An access touches every cache line its byte range spans, in address
+        order, so a multi-line access costs one line access per line; a
+        zero-length access touches none. A DRAM miss is classified
+        sequential or random by the prefetch detector, and a write miss
+        counts a writeback of the line it allocates.
+        """
         line_bytes = self.line_bytes
-        for access in accesses:
-            first = access.address // line_bytes
-            last = (access.address + access.length - 1) // line_bytes
-            is_write = access.kind is AccessKind.WRITE
+        write = AccessKind.WRITE
+        l1, l2, l3 = self.l1.access, self.l2.access, self.l3.access
+        is_sequential = self._prefetch.is_sequential
+        lines = l1_hits = l2_hits = l3_hits = 0
+        dram = sequential = write_misses = 0
+        for kind, address, length in accesses:
+            if length <= 0:
+                continue
+            is_write = kind is write
+            first = address // line_bytes
+            last = (address + length - 1) // line_bytes
+            lines += last - first + 1
             for line in range(first, last + 1):
-                self.access_line(line, is_write)
-        return self.stats
+                if l1(line, is_write):
+                    l1_hits += 1
+                elif l2(line, is_write):
+                    l2_hits += 1
+                elif l3(line, is_write):
+                    l3_hits += 1
+                else:
+                    dram += 1
+                    if is_write:
+                        write_misses += 1
+                    if is_sequential(line):
+                        sequential += 1
+        stats = self.stats
+        stats.accesses += lines
+        stats.l1_hits += l1_hits
+        stats.l2_hits += l2_hits
+        stats.l3_hits += l3_hits
+        stats.dram_accesses += dram
+        stats.sequential_misses += sequential
+        stats.random_misses += dram - sequential
+        stats.write_misses += write_misses
+        stats.writeback_lines += write_misses  # allocated line eventually written back
+        return stats

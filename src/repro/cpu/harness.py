@@ -1,17 +1,19 @@
 """Software S/D timing harness.
 
 Runs a serializer *functionally* on the simulated heap while capturing the
-real heap memory trace, appends the stream I/O as sequential buffer
-accesses, replays everything through the cache hierarchy, and feeds the
-result plus the serializer's work profile into the core cost model. The
-output mirrors what the paper measures with Linux perf (Figure 3): time,
-IPC, LLC miss rate, and DRAM bandwidth utilization.
+real heap memory trace, then replays, in one pass through the cache
+hierarchy, that trace followed by the synthesized traffic the heap does not
+see: the stream buffer I/O (sequential) and the runtime's handle-table
+lookups (random). The cache stats plus the serializer's work profile feed
+the core cost model. The output mirrors what the paper measures with Linux
+perf (Figure 3): time, IPC, LLC miss rate, and DRAM bandwidth utilization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import chain
+from typing import Iterator, Optional, Tuple
 
 from repro.common.config import SystemConfig
 from repro.cpu.cache import CacheHierarchy
@@ -23,7 +25,7 @@ from repro.formats.base import (
     Serializer,
 )
 from repro.jvm.heap import Heap, HeapObject
-from repro.memory.trace import MemoryTrace
+from repro.memory.trace import AccessKind, MemoryAccess, MemoryTrace
 
 # The serialized stream lives in a malloc'd buffer far from the heap.
 _STREAM_BUFFER_BASE = 0x7000_0000_0000
@@ -43,6 +45,26 @@ SERIALIZER_MLP = {
     ("skyway", "deserialize"): 2.0,
 }
 _DEFAULT_MLP = 1.5
+
+
+def _aux_accesses(profile) -> Iterator[Tuple[AccessKind, int, int]]:
+    """Synthesize runtime-data-structure traffic (see WorkProfile).
+
+    The handle table / reference resolver grows with the object count;
+    accesses into it are hash-distributed, i.e. random over the region.
+    Each is an aligned 8 B read, so it touches exactly one line.
+    """
+    count = profile.aux_random_accesses
+    if count <= 0:
+        return
+    entries = max(profile.objects, 1)
+    region_bytes = max(entries * profile.aux_bytes_per_entry, 64)
+    read = AccessKind.READ
+    state = 0x9E3779B97F4A7C15
+    for _ in range(count):
+        state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
+        offset = (state >> 16) % region_bytes
+        yield (read, _AUX_REGION_BASE + (offset & ~0x7), 8)
 
 
 @dataclass
@@ -69,37 +91,26 @@ class SoftwarePlatform:
         heap.memory.trace = trace
         return trace, previous
 
-    def _stream_accesses(self, trace: MemoryTrace, nbytes: int, kind: str) -> None:
-        """Append the stream buffer traffic as sequential 64 B accesses."""
-        for offset in range(0, nbytes, 64):
-            length = min(64, nbytes - offset)
-            if kind == "write":
-                trace.record_write(_STREAM_BUFFER_BASE + offset, length)
-            else:
-                trace.record_read(_STREAM_BUFFER_BASE + offset, length)
+    def _finish(
+        self,
+        serializer_name: str,
+        op: str,
+        profile,
+        trace: MemoryTrace,
+        stream_bytes: int,
+    ) -> CPUTimingResult:
+        """Replay heap trace, stream buffer, then aux traffic; cost the op.
 
-    def _aux_accesses(self, trace: MemoryTrace, profile) -> None:
-        """Synthesize runtime-data-structure traffic (see WorkProfile).
-
-        The handle table / reference resolver grows with the object count;
-        accesses into it are hash-distributed, i.e. random over the region.
+        The stream buffer is one sequential access over the whole payload,
+        written by serialize and read by deserialize. Its base is
+        line-aligned, so the hierarchy walks it line by line: the same line
+        accesses, in the same order, as 64 B buffered stores or loads.
         """
-        count = profile.aux_random_accesses
-        if count <= 0:
-            return
-        entries = max(profile.objects, 1)
-        region_bytes = entries * profile.aux_bytes_per_entry
-        state = 0x9E3779B97F4A7C15
-        for _ in range(count):
-            state = (state * 0x5851F42D4C957F2D + 0x14057B7EF767814F) & (2**64 - 1)
-            offset = (state >> 16) % max(region_bytes, 64)
-            trace.record_read(_AUX_REGION_BASE + (offset & ~0x7), 8)
-
-    def _finish(self, serializer_name: str, op: str, profile, trace: MemoryTrace):
         profile.mlp = SERIALIZER_MLP.get((serializer_name, op), _DEFAULT_MLP)
-        self._aux_accesses(trace, profile)
+        kind = AccessKind.WRITE if op == "serialize" else AccessKind.READ
+        stream = MemoryAccess(kind, _STREAM_BUFFER_BASE, stream_bytes)
         hierarchy = CacheHierarchy(self.system.host)
-        stats = hierarchy.replay(trace.accesses)
+        stats = hierarchy.replay(chain(trace.accesses, (stream,), _aux_accesses(profile)))
         return self.cost_model.estimate(profile, stats)
 
     # -- public API -----------------------------------------------------------------------
@@ -113,8 +124,9 @@ class SoftwarePlatform:
             result = serializer.serialize(root)
         finally:
             heap.memory.trace = previous
-        self._stream_accesses(trace, result.stream.size_bytes, "write")
-        timing = self._finish(serializer.name, "serialize", result.profile, trace)
+        timing = self._finish(
+            serializer.name, "serialize", result.profile, trace, result.stream.size_bytes
+        )
         return result, SoftwareRunResult(timing=timing, stream=result.stream)
 
     def run_serialize_chunked(
@@ -156,8 +168,9 @@ class SoftwarePlatform:
             graph_bytes=summary.graph_bytes,
         )
         result = SerializationResult(stream=stream, profile=summary.profile)
-        self._stream_accesses(trace, stream.size_bytes, "write")
-        timing = self._finish(serializer.name, "serialize", result.profile, trace)
+        timing = self._finish(
+            serializer.name, "serialize", result.profile, trace, stream.size_bytes
+        )
         return result, SoftwareRunResult(timing=timing, stream=stream), chunks
 
     def run_deserialize(
@@ -168,8 +181,9 @@ class SoftwarePlatform:
             result = serializer.deserialize(stream, heap)
         finally:
             heap.memory.trace = previous
-        self._stream_accesses(trace, stream.size_bytes, "read")
-        timing = self._finish(serializer.name, "deserialize", result.profile, trace)
+        timing = self._finish(
+            serializer.name, "deserialize", result.profile, trace, stream.size_bytes
+        )
         return result, SoftwareRunResult(timing=timing, root=result.root)
 
     def round_trip_timings(

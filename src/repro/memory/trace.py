@@ -13,8 +13,7 @@ aggregate statistics (byte counts per kind, unique lines) are maintained.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, NamedTuple, Set
 
 
 class AccessKind(enum.Enum):
@@ -22,8 +21,7 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+class MemoryAccess(NamedTuple):
     """One traced access: kind, start address, and length in bytes."""
 
     kind: AccessKind
@@ -31,14 +29,26 @@ class MemoryAccess:
     length: int
 
     def cache_lines(self, line_bytes: int = 64) -> range:
-        """Indices of the cache lines this access touches."""
+        """Indices of the cache lines this access touches (none if empty)."""
+        if self.length <= 0:
+            return range(0)
         first = self.address // line_bytes
         last = (self.address + self.length - 1) // line_bytes
         return range(first, last + 1)
 
 
+# Builds a MemoryAccess without the NamedTuple constructor's Python frame;
+# recording runs once per traced heap access.
+_new_access = tuple.__new__
+
+
 class MemoryTrace:
-    """Ordered record of memory accesses with aggregate statistics."""
+    """Ordered record of memory accesses with aggregate statistics.
+
+    With ``keep_accesses`` the records themselves are the state and
+    ``unique_line_count`` is derived from them on demand; in summary mode
+    the touched-line set is kept up to date as accesses arrive.
+    """
 
     def __init__(self, keep_accesses: bool = True, line_bytes: int = 64):
         self.keep_accesses = keep_accesses
@@ -63,12 +73,12 @@ class MemoryTrace:
         self._record(AccessKind.WRITE, address, length)
 
     def _record(self, kind: AccessKind, address: int, length: int) -> None:
-        if length > 0:
+        if self.keep_accesses:
+            self.accesses.append(_new_access(MemoryAccess, (kind, address, length)))
+        elif length > 0:
             first = address // self.line_bytes
             last = (address + length - 1) // self.line_bytes
             self._touched_lines.update(range(first, last + 1))
-        if self.keep_accesses:
-            self.accesses.append(MemoryAccess(kind, address, length))
 
     # -- statistics --------------------------------------------------------------
 
@@ -83,7 +93,12 @@ class MemoryTrace:
     @property
     def unique_line_count(self) -> int:
         """Number of distinct cache lines touched (footprint / locality proxy)."""
-        return len(self._touched_lines)
+        if not self.keep_accesses:
+            return len(self._touched_lines)
+        lines: Set[int] = set()
+        for access in self.accesses:
+            lines.update(access.cache_lines(self.line_bytes))
+        return len(lines)
 
     def __len__(self) -> int:
         return len(self.accesses)

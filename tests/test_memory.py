@@ -103,6 +103,21 @@ class TestMemoryTrace:
         mem.read(128, 8)  # different line
         assert trace.unique_line_count == 2
 
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_zero_length_access_touches_no_line(self, keep):
+        trace = MemoryTrace(keep_accesses=keep)
+        trace.record_read(0x101, 0)  # unaligned: (address - 1) // 64 == first line
+        assert trace.unique_line_count == 0
+        assert list(trace.line_accesses()) == []
+
+    def test_unique_line_count_matches_summary_mode(self):
+        kept, summary = MemoryTrace(), MemoryTrace(keep_accesses=False)
+        for trace in (kept, summary):
+            trace.record_read(60, 16)
+            trace.record_write(100, 200)
+            trace.record_read(0, 8)
+        assert kept.unique_line_count == summary.unique_line_count == 5
+
     def test_line_accesses_split_multiline(self):
         trace = MemoryTrace()
         trace.record_read(60, 16)  # spans lines 0 and 1
