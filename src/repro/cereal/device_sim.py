@@ -15,8 +15,8 @@ state carries their interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cereal.du import DeserializationUnit, DUWorkload
 from repro.cereal.mai import MemoryAccessInterface
@@ -24,7 +24,7 @@ from repro.cereal.su import SerializationUnit
 from repro.cereal.tlb import TLB
 from repro.common.errors import SimulationError
 from repro.formats.base import SerializedStream
-from repro.formats.cereal_format import CerealSerializer
+from repro.formats.cereal_format import CerealSerializer, CerealStreamSections
 from repro.jvm.heap import Heap, HeapObject
 from repro.memory.dram import DRAMModel
 
@@ -141,6 +141,11 @@ class DeviceSimulator:
         su_mais = [make_mai() for _ in su_free]
         du_mais = [make_mai() for _ in du_free]
 
+        # Stream-side DU inputs, derived once per distinct stream object:
+        # the sections and the block decomposition depend only on the bytes.
+        # Each entry holds its stream so the id key stays unique for the run.
+        du_inputs: Dict[int, Tuple[SerializedStream, CerealStreamSections, DUWorkload]] = {}
+
         operations: List[DeviceOperation] = []
         wall_time = 0.0
         for request in requests:
@@ -182,8 +187,13 @@ class DeviceSimulator:
                 unit_index = min(range(len(du_free)), key=lambda i: du_free[i])
                 start = du_free[unit_index]
                 deser = self.accelerator.codec.deserialize(stream, heap)
-                sections = CerealSerializer.decode_sections(stream)
-                workload = DUWorkload.from_stream_sections(sections)
+                cached = du_inputs.get(id(stream))
+                if cached is None:
+                    sections = CerealSerializer.decode_sections(stream)
+                    cached = du_inputs[id(stream)] = (
+                        stream, sections, DUWorkload.from_stream_sections(sections),
+                    )
+                _, sections, workload = cached
                 unit = DeserializationUnit(
                     du_mais[unit_index],
                     self.accelerator.class_id_table,

@@ -1,8 +1,13 @@
 """Tests for the shared-DRAM device simulator and the interval channel."""
 
+import bisect
+import dataclasses
+import random
+
 import pytest
 
 from repro.cereal import CerealAccelerator, DeviceSimulator
+from repro.cereal.du import DUWorkload
 from repro.common.config import CerealConfig
 from repro.common.errors import SimulationError
 from repro.formats import graphs_equivalent
@@ -42,9 +47,114 @@ class TestIntervalChannel:
 
     def test_many_insertions_remain_sorted(self):
         channel = _IntervalChannel()
-        starts = [channel.schedule(t, 1.0) for t in (50, 10, 30, 10, 50, 0)]
-        assert all(s >= t for s, t in zip(starts, (50, 10, 30, 10, 50, 0)))
-        assert channel._starts == sorted(channel._starts)
+        issues = (50, 10, 30, 10, 50, 0)
+        starts = [channel.schedule(t, 1.0) for t in issues]
+        assert all(s >= t for s, t in zip(starts, issues))
+        assert channel.starts == sorted(channel.starts)
+        # Disjoint runs with a gap between neighbours; the second access at
+        # 10 and at 50 each extended the run it abuts.
+        assert all(s < e for s, e in zip(channel.starts, channel.ends))
+        assert all(e < s for e, s in zip(channel.ends, channel.starts[1:]))
+        assert list(zip(channel.starts, channel.ends)) == [
+            (0, 1.0), (10, 12.0), (30, 31.0), (50, 52.0)
+        ]
+
+    def test_abutting_accesses_leave_one_run(self):
+        channel = _IntervalChannel()
+        occupancy = DRAMModel().occupancy_ns(32)
+        finish = 0.0
+        for _ in range(10_000):
+            finish = channel.schedule(0.0, occupancy) + occupancy
+        assert channel.starts == [0.0]
+        assert channel.ends == [finish]
+
+    def test_reservation_closing_a_gap_joins_both_runs(self):
+        channel = _IntervalChannel()
+        channel.schedule(0.0, 10.0)  # [0, 10)
+        channel.schedule(20.0, 10.0)  # [20, 30)
+        assert channel.schedule(10.0, 10.0) == 10.0
+        assert (channel.starts, channel.ends) == ([0.0], [30.0])
+
+
+class _ReferenceChannel:
+    """First fit over a flat list of every reserved interval.
+
+    The uncoalesced schedule: one entry per reservation, located by
+    bisection at the issue time and scanned forward one reservation at a
+    time.
+    """
+
+    def __init__(self):
+        self.starts = []
+        self.intervals = []
+
+    def schedule(self, issue_ns, occupancy_ns):
+        candidate = issue_ns
+        index = bisect.bisect_left(self.starts, candidate)
+        if index > 0 and self.intervals[index - 1][1] > candidate:
+            candidate = self.intervals[index - 1][1]
+        while index < len(self.intervals):
+            start, end = self.intervals[index]
+            if start - candidate >= occupancy_ns:
+                break
+            candidate = max(candidate, end)
+            index += 1
+        self.starts.insert(index, candidate)
+        self.intervals.insert(index, (candidate, candidate + occupancy_ns))
+        return candidate
+
+    def runs(self):
+        """The reservations with exactly abutting neighbours merged."""
+        merged = []
+        for start, end in self.intervals:
+            if merged and merged[-1][1] == start:
+                merged[-1] = (merged[-1][0], end)
+            else:
+                merged.append((start, end))
+        return merged
+
+
+#: Occupancies mixing exact binary fractions with inexact ones: 1/3 and the
+#: 32 B MAI block and 64 B line on the default DDR4 channel.
+_OCCUPANCIES = (
+    1 / 3, 0.5, 1.0, 2.0,
+    DRAMModel().occupancy_ns(32), DRAMModel().occupancy_ns(64),
+)
+
+
+def _issue_times(rng, reference, occupancy):
+    """Issue times that probe the interesting first-fit cases."""
+    intervals = reference.intervals
+    choice = rng.random()
+    if not intervals or choice < 0.25:
+        # Anywhere, on a coarse grid so exact abutments happen often.
+        return [rng.randrange(200) * rng.choice(_OCCUPANCIES)]
+    start, end = rng.choice(intervals)
+    if choice < 0.4:
+        return [(start + end) / 2]  # inside a busy run
+    if choice < 0.55:
+        return [end]  # abutting the end of a reservation
+    if choice < 0.7:
+        return [start - occupancy]  # would end exactly at a run start
+    # Open a gap just smaller than, equal to or larger than the occupancy
+    # after ``end``, then issue an access of that occupancy at ``end``.
+    slack = rng.choice((-1e-9, -occupancy / 7, 0.0, 1e-9, occupancy / 7))
+    return [end + occupancy + slack, end]
+
+
+class TestIntervalChannelDifferential:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_uncoalesced_first_fit(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            channel, reference = _IntervalChannel(), _ReferenceChannel()
+            for _ in range(rng.randrange(1, 120)):
+                occupancy = rng.choice(_OCCUPANCIES)
+                for issue in _issue_times(rng, reference, occupancy):
+                    issue = max(0.0, issue)
+                    expected = reference.schedule(issue, occupancy)
+                    assert channel.schedule(issue, occupancy) == expected
+            assert list(zip(channel.starts, channel.ends)) == reference.runs()
 
 
 class TestOutOfOrderDRAM:
@@ -228,3 +338,126 @@ class TestSchedulingInvariants:
             op for op in result.operations if op.kind == "deserialize"
         )
         assert first_deser.start_ns == 0.0
+
+
+# Recorded from an uncoalesced interval channel that derived the DU workload
+# per request. A host-time change to the scheduler or the simulator may not
+# move any of these numbers (exact float equality).
+_GOLDEN_OVERSUBSCRIBED = {
+    'wall_time_ns': 18907.333333333307,
+    'dram_bytes': 302816,
+    'bandwidth_utilization': 0.20853901484432877,
+    'operations': [
+        ('serialize', 0, 0.0, 1193.3333333333333, 720),
+        ('serialize', 1, 0.0, 1754.6666666666674, 1488),
+        ('serialize', 2, 0.0, 3196.3333333333308, 3024),
+        ('serialize', 3, 0.0, 6319.666666666676, 6096),
+        ('serialize', 4, 0.0, 12606.999999999958, 12240),
+        ('serialize', 5, 0.0, 1208.6666666666672, 720),
+        ('serialize', 6, 0.0, 1860.3333333333346, 1488),
+        ('serialize', 7, 0.0, 3160.666666666664, 3024),
+        ('serialize', 0, 1193.3333333333333, 7346.000000000017, 6096),
+        ('serialize', 5, 1208.6666666666672, 13728.999999999938, 12240),
+        ('serialize', 1, 1754.6666666666674, 2576.3333333333317, 720),
+        ('serialize', 6, 1860.3333333333346, 3331.999999999995, 1488),
+        ('serialize', 1, 2576.3333333333317, 5405.000000000004, 3024),
+        ('serialize', 7, 3160.666666666664, 9371.000000000004, 6096),
+        ('serialize', 2, 3196.3333333333308, 15701.666666666571, 12240),
+        ('serialize', 6, 3331.999999999995, 4211.999999999994, 720),
+        ('serialize', 6, 4211.999999999994, 5684.0000000000055, 1488),
+        ('serialize', 1, 5405.000000000004, 8264.000000000022, 3024),
+        ('serialize', 6, 5684.0000000000055, 11794.333333333305, 6096),
+        ('serialize', 3, 6319.666666666676, 18907.333333333307, 12240),
+        ('deserialize', 0, 0.0, 346.0, 720),
+        ('deserialize', 1, 0.0, 356.0, 1488),
+        ('deserialize', 2, 0.0, 424.66666666666686, 3024),
+        ('deserialize', 3, 0.0, 672.3333333333333, 6096),
+        ('deserialize', 4, 0.0, 1153.6666666666663, 12240),
+        ('deserialize', 5, 0.0, 690.9999999999998, 720),
+        ('deserialize', 6, 0.0, 908.3333333333326, 1488),
+        ('deserialize', 7, 0.0, 1215.3333333333335, 3024),
+    ],
+}
+_GOLDEN_DESERIALIZE_8 = {
+    'wall_time_ns': 1457.3333333333342,
+    'dram_bytes': 85760,
+    'bandwidth_utilization': 0.7662397072278129,
+    'operations': [
+        ('deserialize', 0, 0.0, 546.3333333333335, 6096),
+        ('deserialize', 1, 0.0, 595.0000000000002, 6096),
+        ('deserialize', 2, 0.0, 719.3333333333333, 6096),
+        ('deserialize', 3, 0.0, 906.9999999999995, 6096),
+        ('deserialize', 4, 0.0, 1027.9999999999993, 6096),
+        ('deserialize', 5, 0.0, 1154.6666666666663, 6096),
+        ('deserialize', 6, 0.0, 1322.3333333333335, 6096),
+        ('deserialize', 7, 0.0, 1457.3333333333342, 6096),
+    ],
+}
+
+
+def _run_dict(result):
+    return {
+        "wall_time_ns": result.wall_time_ns,
+        "dram_bytes": result.dram_bytes,
+        "bandwidth_utilization": result.bandwidth_utilization,
+        "operations": [
+            (op.kind, op.unit_index, op.start_ns, op.finish_ns, op.graph_bytes)
+            for op in result.operations
+        ],
+    }
+
+
+def _deserialize_requests(registry, streams):
+    return [("deserialize", stream, Heap(registry=registry)) for stream in streams]
+
+
+class TestGoldenDeviceRuns:
+    def test_oversubscribed_run(self, device):
+        _, result = _oversubscribed_run(device)
+        assert _run_dict(result) == _GOLDEN_OVERSUBSCRIBED
+
+    def test_eight_du_deserialize_of_one_stream(self, device):
+        registry, accelerator, heap, simulator = device
+        stream = accelerator.serialize(build_tree(heap, depth=6))[0].stream
+        result = simulator.run(_deserialize_requests(registry, [stream] * 8))
+        assert _run_dict(result) == _GOLDEN_DESERIALIZE_8
+
+
+class TestDUWorkloadReuse:
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        original = DUWorkload.from_stream_sections.__func__
+
+        def counting(cls, sections):
+            calls.append(sections)
+            return original(cls, sections)
+
+        monkeypatch.setattr(DUWorkload, "from_stream_sections", classmethod(counting))
+        return calls
+
+    def test_each_distinct_stream_derived_once(self, device, derivations):
+        registry, accelerator, heap, simulator = device
+        small = accelerator.serialize(build_tree(heap, depth=4))[0].stream
+        large = accelerator.serialize(build_tree(heap, depth=6))[0].stream
+        streams = [small, large] * 4
+        mixed = simulator.run(_deserialize_requests(registry, streams))
+        assert len(derivations) == 2
+        singles = {
+            id(stream): simulator.run(_deserialize_requests(registry, [stream]))
+            for stream in (small, large)
+        }
+        # Every op got its own stream's sections and rebuilt its own graph.
+        for stream, op in zip(streams, mixed.operations):
+            single = singles[id(stream)].operations[0]
+            assert op.graph_bytes == single.graph_bytes
+            assert graphs_equivalent(op.root, single.root)
+        assert mixed.operations[0].graph_bytes != mixed.operations[1].graph_bytes
+
+        # Equal-content copies are distinct objects, so each request derives
+        # its own workload; reuse must not change any timing.
+        derivations.clear()
+        copies = [dataclasses.replace(stream) for stream in streams]
+        fresh = simulator.run(_deserialize_requests(registry, copies))
+        assert len(derivations) == len(streams)
+        assert _run_dict(fresh) == _run_dict(mixed)
