@@ -1,12 +1,14 @@
-"""The cluster event loop: many servers, one virtual clock.
+"""The serving event loop: many servers, one virtual clock.
 
-:class:`SerializationCluster` owns the discrete-event heap and drives N
-:class:`~repro.cluster.node.ServerNode`s through the incremental server
-API (:meth:`register` / :meth:`on_arrival` / :meth:`on_deadline` /
-:meth:`flush_remaining`), so per-node semantics are *identical* to the
-standalone :class:`~repro.service.server.SerializationServer` — same
-admission, coalescing, routing, and fault-degrade behaviour — while the
-cluster layer adds what a single box cannot have:
+:class:`SerializationCluster` owns the only discrete-event heap in the
+serving stack. It drives N :class:`~repro.cluster.node.ServerNode`s
+through each server's state transitions (:meth:`register` /
+:meth:`adopt` / :meth:`on_arrival` / :meth:`on_deadline` /
+:meth:`flush_remaining`). A standalone
+:meth:`~repro.service.server.SerializationServer.run` is this loop with
+one node and no autoscaler, so a box behaves the same alone or in a
+fleet — same admission, coalescing, routing, and fault-degrade
+behaviour. On top of that the fleet adds:
 
 * **placement** — consistent-hash + locality routing over the UP nodes
   (:mod:`repro.cluster.routing`);
@@ -24,6 +26,11 @@ cluster layer adds what a single box cannot have:
   and request spans on that node's tracks, so one Chrome trace shows the
   whole fleet; per-node metric registries are merged into the run
   registry at teardown via ``merge_snapshot``.
+
+The request spans and the report's ``runtime_caches`` are assembled here,
+once, for one node or many. The report's ``peak_outstanding`` is the peak
+of the sampled ``cluster.queue_depth`` gauge; a standalone run replaces
+it with its box's exact admission peak.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from repro.cluster.node import (
     ServerNode,
 )
 from repro.cluster.routing import ClusterRouter
-from repro.service.server import ServiceConfig
+from repro.service.server import SerializationServer, ServiceConfig
 from repro.service.slo import (
     BACKEND_NONE,
     OUTCOME_REJECTED,
@@ -149,7 +156,7 @@ class ClusterReport:
 
 
 class SerializationCluster:
-    """Discrete-event simulation of the multi-node serving fleet."""
+    """Discrete-event simulation of a serving fleet of one or more nodes."""
 
     def __init__(
         self,
@@ -158,7 +165,11 @@ class SerializationCluster:
         injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
+        server: Optional[SerializationServer] = None,
     ):
+        """``server``, when given, is driven as the first node instead of a
+        fresh one: that is how a standalone run becomes the one-node fleet.
+        """
         self.catalog = catalog
         self.config = config or ClusterConfig()
         self.injector = injector
@@ -174,6 +185,7 @@ class SerializationCluster:
             if self.config.autoscaler is not None
             else None
         )
+        self._first_server = server
         self._nodes: Dict[str, ServerNode] = {}
         self._order: List[str] = []  # creation order (deterministic walks)
         self._node_spans: Dict[str, object] = {}
@@ -199,7 +211,11 @@ class SerializationCluster:
     def _zone_for_index(self, index: int) -> str:
         return self.config.zones[index % len(self.config.zones)]
 
-    def _new_node(self, provisioned_ns: float) -> ServerNode:
+    def _new_node(
+        self,
+        provisioned_ns: float,
+        server: Optional[SerializationServer] = None,
+    ) -> ServerNode:
         node_id = f"node{self._next_node_index}"
         zone = self._zone_for_index(self._next_node_index)
         self._next_node_index += 1
@@ -211,6 +227,8 @@ class SerializationCluster:
             provisioned_ns=provisioned_ns,
             injector=self.injector,
             tracer=self.tracer,
+            latency_exact_limit=self.config.p99_window,
+            server=server,
         )
         self._nodes[node_id] = node
         self._order.append(node_id)
@@ -282,18 +300,9 @@ class SerializationCluster:
                 or record.node != node_id
             ):
                 continue  # superseded by a failover re-execution
-            self._latency_window.append(record.latency_ns)
-            node = self._nodes.get(node_id)
-            if node is not None:
-                node.served_requests += 1
-                node.registry.counter(
-                    "node.requests_completed", node=node_id
-                ).inc()
-                node.registry.histogram(
-                    "node.latency_ns",
-                    node=node_id,
-                    exact_limit=self.config.p99_window,
-                ).observe(record.latency_ns)
+            latency_ns = record.latency_ns
+            self._latency_window.append(latency_ns)
+            self._nodes[node_id].record_completion(latency_ns)
 
     # -- request handling --------------------------------------------------------------
 
@@ -321,15 +330,17 @@ class SerializationCluster:
     def _handle_arrival(
         self, request: ServiceRequest, now_ns: float
     ) -> None:
-        record = self._records[request.request_id]
+        """Route a first arrival; the chosen node creates its record."""
         target = self.router.route(
             self._routing_key(request), zone=request.zone
         )
         if target is None:
+            record = RequestRecord.for_request(request)
+            self._records[request.request_id] = record
             self._shed_unroutable(record, now_ns)
             return
         node = self._nodes[target]
-        node.server.adopt(record)
+        self._records[request.request_id] = node.server.register(request)
         self._deliver(node, request, now_ns)
 
     def _handle_retry(
@@ -491,18 +502,8 @@ class SerializationCluster:
     def run(self, requests: Sequence[ServiceRequest]) -> ClusterReport:
         """Simulate the full request sequence across the fleet."""
         self._records = {}
-        self._requests = {}
-        for request in requests:
-            self._records[request.request_id] = RequestRecord(
-                request_id=request.request_id,
-                kind=request.kind,
-                size_class=request.entry.name,
-                arrival_ns=request.arrival_ns,
-                tenant=request.tenant,
-                priority=request.priority,
-            )
-            self._requests[request.request_id] = request
-        if len(self._records) != len(requests):
+        self._requests = {request.request_id: request for request in requests}
+        if len(self._requests) != len(requests):
             raise ConfigError("request_ids must be unique within one run")
 
         self._events: List[Tuple[float, int, str, object]] = []
@@ -512,8 +513,11 @@ class SerializationCluster:
             self._push(request.arrival_ns, "arrival", request)
 
         # The initial fleet is provisioned before the run: UP at t=0.
-        for _ in range(self.config.num_nodes):
-            node = self._new_node(provisioned_ns=0.0)
+        for index in range(self.config.num_nodes):
+            node = self._new_node(
+                provisioned_ns=0.0,
+                server=self._first_server if index == 0 else None,
+            )
             self._activate(node, 0.0)
         if requests:
             first = min(r.arrival_ns for r in requests)
@@ -527,7 +531,7 @@ class SerializationCluster:
             if etype != "control":
                 self._noncontrol_events -= 1
             tracer.advance(now_ns)
-            self._horizon_ns = max(self._horizon_ns, now_ns)
+            self._horizon_ns = now_ns  # events pop in time order
             if etype == "arrival":
                 self._handle_arrival(payload, now_ns)
             elif etype == "retry":
@@ -552,8 +556,8 @@ class SerializationCluster:
     def _finalize(
         self, now_ns: float, requests: Sequence[ServiceRequest]
     ) -> ClusterReport:
-        # Safety drain (mirrors the standalone server): dispatch any group
-        # still open — zero-wait configs flush inline and never open one.
+        # Safety drain: every opened group had a deadline event, so this is
+        # normally empty, but end-of-run semantics must not depend on that.
         for node_id in self._order:
             node = self._nodes[node_id]
             if node.state == NODE_DOWN:
@@ -569,10 +573,9 @@ class SerializationCluster:
             node.finish(end)
             self._close_node_span(node, end)
             self.registry.merge_snapshot(node.registry)
-        if self.tracer.enabled:
-            self._emit_request_spans(requests)
-
         records = [self._records[r.request_id] for r in requests]
+        if self.tracer.enabled:
+            self._emit_request_spans(records)
         nodes = [
             self._nodes[node_id].summary(end) for node_id in self._order
         ]
@@ -619,8 +622,9 @@ class SerializationCluster:
         )
 
     def _streaming_stats(self) -> Dict:
-        """Cluster-wide egress streaming totals (counts summed, buffer
-        high-water marks maxed, the TTFB speedup recomputed from sums)."""
+        """Fleet-wide egress streaming totals (counts summed, buffer
+        high-water marks maxed, the TTFB speedups recomputed from sums);
+        for one node these are its streamer's own stats."""
         merged: Dict = {}
         for node_id in self._order:
             streamer = self._nodes[node_id].server.streamer
@@ -654,18 +658,27 @@ class SerializationCluster:
         )
         return batched / closed if closed else 0.0
 
-    def _emit_request_spans(
-        self, requests: Sequence[ServiceRequest]
-    ) -> None:
-        """One retrospective span tree per request, on its serving node's
-        ``requests`` track, parented under that node's lifetime span (the
-        cluster-trace analogue of the standalone server's emission)."""
+    def _emit_request_spans(self, records: Sequence[RequestRecord]) -> None:
+        """Retrospectively record one span tree per request.
+
+        The loop learns a request's finish time the moment its batch
+        dispatches (virtual time runs ahead of completion), so request
+        spans are emitted from the finished records rather than around
+        live code. Each completed request becomes a ``request`` span
+        (arrival → finish) with ``queue`` (arrival → dispatch, the
+        admission + coalescing wait) and ``execute`` (dispatch → finish)
+        children, plus one ``response.chunk`` child per streamed chunk;
+        shed and rejected requests leave an instant marker instead. The
+        span durations *are* the record's latency decomposition, which is
+        what lets the trace re-derive the SLO percentiles exactly.
+
+        Spans go on the ``requests`` track of the node that took the
+        request, under that node's lifetime span; a request no node could
+        take goes on the ``cluster`` track.
+        """
         tracer = self.tracer
-        for request in requests:
-            record = self._records[request.request_id]
-            track = (
-                f"{record.node}.requests" if record.node else "cluster"
-            )
+        for record in records:
+            track = f"{record.node}.requests" if record.node else "cluster"
             if not record.completed:
                 name = (
                     "request.rejected"
@@ -692,6 +705,8 @@ class SerializationCluster:
                 size_class=record.size_class,
                 outcome=record.outcome,
                 backend=record.backend,
+                batch_id=record.batch_id,
+                batch_size=record.batch_size,
                 node=record.node,
                 retries=record.retries,
                 tenant=record.tenant,

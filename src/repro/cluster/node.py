@@ -1,12 +1,14 @@
 """One serving node: a :class:`SerializationServer` plus lifecycle state.
 
-The node wraps today's single-machine server unchanged — same shards,
-software lane, coalescer, and admission controller — and adds what the
-cluster layer needs around it: a lifecycle state machine, provisioned
-shard-second accounting (the cost axis every static-vs-autoscaled
-comparison normalizes on), and a private metrics registry the cluster
-folds into the global one at end of run via
-:meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`.
+The node wraps a loop-free server state machine — shards, software lane,
+coalescer, and admission controller, advanced only by the fleet loop's
+calls — and adds what the cluster layer needs around it: a lifecycle
+state machine, provisioned shard-second accounting (the cost axis every
+static-vs-autoscaled comparison normalizes on), and a private metrics
+registry the cluster folds into the global one at end of run via
+:meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`. A standalone
+:meth:`SerializationServer.run` hands its own server in, so the fleet's
+only node is the caller's instance.
 
 State machine::
 
@@ -25,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
 from repro.faults.injector import FaultInjector
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.service.server import SerializationServer, ServiceConfig
 from repro.service.workload import ServiceCatalog
@@ -55,18 +57,19 @@ class ServerNode:
         provisioned_ns: float,
         injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
+        latency_exact_limit: int = 4096,
+        server: Optional[SerializationServer] = None,
     ):
         if not node_id:
             raise ConfigError("node_id must be non-empty")
         self.node_id = node_id
         self.zone = zone
-        self.server = SerializationServer(
-            catalog,
-            config,
-            injector=injector,
-            tracer=tracer,
-            node_id=node_id,
-        )
+        if server is None:
+            server = SerializationServer(
+                catalog, config, injector=injector, tracer=tracer
+            )
+        server.node_id = node_id
+        self.server = server
         self.state = NODE_STARTING
         self.provisioned_ns = provisioned_ns
         self.up_ns: Optional[float] = None
@@ -75,6 +78,9 @@ class ServerNode:
         self.served_requests = 0
         #: Node-local metrics; merged into the run registry at teardown.
         self.registry = MetricsRegistry(enabled=True)
+        self._latency_exact_limit = latency_exact_limit
+        self._completed: Optional[Counter] = None
+        self._latency: Optional[Histogram] = None
 
     def __repr__(self) -> str:
         return f"ServerNode({self.node_id!r}, {self.state})"
@@ -124,6 +130,25 @@ class ServerNode:
         )
 
     # -- accounting --------------------------------------------------------------------
+
+    def record_completion(self, latency_ns: float) -> None:
+        """Count one request this node finished, into its private metrics.
+
+        The metric handles are fetched once, on the first completion, so
+        a node that never serves leaves no metric behind.
+        """
+        if self._completed is None:
+            self._completed = self.registry.counter(
+                "node.requests_completed", node=self.node_id
+            )
+            self._latency = self.registry.histogram(
+                "node.latency_ns",
+                node=self.node_id,
+                exact_limit=self._latency_exact_limit,
+            )
+        self.served_requests += 1
+        self._completed.inc()
+        self._latency.observe(latency_ns)
 
     def shard_seconds(self, now_ns: float) -> float:
         """Provisioned capacity cost: shards × provisioned wall time.

@@ -83,21 +83,26 @@ class ConsistentHashRing:
 
     def preference(self, key: str, count: int) -> List[str]:
         """The first ``count`` *distinct physical nodes* clockwise from
-        the key's ring point — primary first, then failover replicas."""
+        the key's ring point — primary first, then failover replicas.
+
+        The walk stops once it has ``count`` nodes or every node on the
+        ring, so a ring with fewer nodes than ``count`` costs one arc per
+        node rather than one pass over every virtual node.
+        """
         if not self._points or count <= 0:
             return []
-        start = bisect.bisect_right(self._points, stable_hash(key))
+        if len(self._nodes) == 1:
+            return list(self._nodes)
+        count = min(count, len(self._nodes))
+        points = self._points
+        start = bisect.bisect_right(points, stable_hash(key))
         chosen: List[str] = []
-        seen = set()
-        for offset in range(len(self._points)):
-            point = self._points[(start + offset) % len(self._points)]
-            owner = self._owner[point]
-            if owner in seen:
-                continue
-            seen.add(owner)
-            chosen.append(owner)
-            if len(chosen) >= count:
-                break
+        for offset in range(len(points)):
+            owner = self._owner[points[(start + offset) % len(points)]]
+            if owner not in chosen:
+                chosen.append(owner)
+                if len(chosen) == count:
+                    break
         return chosen
 
 
@@ -150,9 +155,9 @@ class ClusterRouter:
         ``exclude`` drops nodes that already failed this request (retry
         escalation walks further down the preference list).
         """
-        candidates = [
-            node for node in self.replicas_for(key) if node not in exclude
-        ]
+        candidates = self.ring.preference(key, self.replication_factor)
+        if exclude:
+            candidates = [node for node in candidates if node not in exclude]
         if not candidates:
             return None
         if self.locality_aware and zone:

@@ -1,13 +1,16 @@
-"""The event-loop serialization server: shards, routing, degrade lane.
+"""The serialization server: shards, routing, degrade lane.
 
-:class:`SerializationServer` advances virtual time over an open-loop
-request sequence. Each arriving request passes admission control, joins
-the batch coalescer, and — when its batch closes — is dispatched to one of
-N accelerator *shards* (each shard owns a full Cereal device:
+:class:`SerializationServer` is one box's state machine. It owns no
+event loop: the fleet loop in :mod:`repro.cluster.cluster` hands it each
+arrival and batch deadline on the shared virtual clock. Each arriving
+request passes admission control, joins the batch coalescer, and — when
+its batch closes — is dispatched to one of N accelerator *shards* (each
+shard owns a full Cereal device:
 :class:`~repro.cereal.accelerator.CerealAccelerator` plus
 :class:`~repro.cereal.device_sim.DeviceSimulator`) or to the CPU
 *software lane* when admission degrades it or a capacity fault knocks the
-batch off the accelerator path.
+batch off the accelerator path. :meth:`SerializationServer.run` simulates
+a standalone box as the one-node fleet with no autoscaler.
 
 Two shard engines share one scheduling contract:
 
@@ -22,7 +25,7 @@ Two shard engines share one scheduling contract:
 
 Virtual time is event-driven: arrivals, batch deadlines, and completions
 are the only points where state changes, so a 10k-request run takes
-milliseconds of wall clock in analytic mode.
+a fraction of a second of wall clock in analytic mode.
 """
 
 from __future__ import annotations
@@ -35,13 +38,9 @@ from repro.cereal.accelerator import CerealAccelerator
 from repro.cereal.device_sim import DeviceSimulator
 from repro.common.config import CerealConfig, DRAMConfig
 from repro.common.errors import ConfigError, SimulationError
-from repro.common.bufpool import pool_stats
 from repro.faults.injector import FaultInjector
-from repro.formats.plans import plan_cache_stats
-from repro.formats.secure import decode_stats
 from repro.formats.verify import graphs_equivalent
 from repro.jvm.heap import Heap
-from repro.jvm.layout_cache import stats as layout_cache_stats
 from repro.obs.trace import Tracer, get_tracer
 from repro.service.admission import (
     DECISION_DEGRADE,
@@ -173,7 +172,7 @@ class AcceleratorShard:
             batch.requests, key=lambda r: (-r.accel_timing.elapsed_ns, r.request_id)
         )
         for request in ordered:
-            unit = min(range(len(pool)), key=lambda i: (pool[i], i))
+            unit = pool.index(min(pool))  # earliest free, lowest index on ties
             begin = max(pool[unit], now_ns)
             if unit not in touched:
                 touched[unit] = True
@@ -287,7 +286,7 @@ class SoftwareLane:
         self.served = 0
 
     def service(self, request: ServiceRequest, now_ns: float) -> float:
-        worker = min(range(len(self.worker_free)), key=lambda i: (self.worker_free[i], i))
+        worker = self.worker_free.index(min(self.worker_free))
         begin = max(self.worker_free[worker], now_ns) + self.overhead_ns
         finish = begin + request.software_ns
         self.worker_free[worker] = finish
@@ -297,7 +296,7 @@ class SoftwareLane:
 
 @dataclass
 class ArrivalOutcome:
-    """What one arrival did to the server (incremental/cluster driving).
+    """What one arrival did to the server.
 
     ``completions`` are ``(finish_ns, request_id)`` markers for every
     request whose finish time became known; ``deadline`` — when set — is a
@@ -310,17 +309,16 @@ class ArrivalOutcome:
 
 
 class SerializationServer:
-    """Discrete-event simulation of the sharded serialization service.
+    """The sharded serialization service on one box, as a state machine.
 
-    Two driving modes share the same event handlers:
-
-    * :meth:`run` owns the event heap — the standalone single-server mode
-      every existing bench and test uses;
-    * the incremental API (:meth:`register` / :meth:`on_arrival` /
-      :meth:`on_deadline` / :meth:`flush_remaining`) lets an external
-      event loop — :class:`repro.cluster.SerializationCluster` — interleave
-      many servers on one shared virtual clock, scheduling the batch
-      deadlines each server hands back.
+    The server has no event loop. Its transitions — :meth:`register` /
+    :meth:`adopt` a request's record, :meth:`on_arrival`,
+    :meth:`on_deadline`, :meth:`drain`, :meth:`reap_inflight` and
+    :meth:`flush_remaining` — are driven by the one event loop,
+    :class:`repro.cluster.SerializationCluster`, which interleaves many
+    servers on a shared virtual clock and schedules the batch deadlines
+    each hands back. :meth:`run` is the standalone entry point: it drives
+    *this* instance as the only node of a one-node fleet.
     """
 
     def __init__(
@@ -329,7 +327,6 @@ class SerializationServer:
         config: Optional[ServiceConfig] = None,
         injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        node_id: str = "",
     ):
         self.catalog = catalog
         self.config = config or ServiceConfig()
@@ -339,12 +336,11 @@ class SerializationServer:
         # process-wide one. Disabled (the default) every hook below is a
         # single attribute check.
         self.tracer = tracer if tracer is not None else get_tracer()
-        #: Cluster identity: prefixes every span track this server emits
-        #: (``node0.shard1``, ...) so one Chrome trace can hold N nodes.
-        self.node_id = node_id
-        self._track_prefix = f"{node_id}." if node_id else ""
-        #: Optional parent span (the node's lifetime span) batch spans
-        #: nest under in cluster traces.
+        #: Node identity, set by the fleet node that drives this server:
+        #: prefixes every span track it emits (``node0.shard1``, ...) so
+        #: one Chrome trace can hold N nodes.
+        self.node_id = ""
+        #: The node's lifetime span, which batch spans nest under.
         self.trace_parent = None
         self.shards = [
             AcceleratorShard(
@@ -379,7 +375,7 @@ class SerializationServer:
         self._inflight: List[Tuple[float, int]] = []
 
     def _track(self, name: str) -> str:
-        return self._track_prefix + name
+        return f"{self.node_id}.{name}"
 
     # -- routing ---------------------------------------------------------------------
 
@@ -455,7 +451,6 @@ class SerializationServer:
         record.finish_ns = finish
         record.outcome = OUTCOME_DEGRADED
         record.backend = BACKEND_SOFTWARE
-        record.node = self.node_id
         if batch is not None:
             record.batch_id = batch.batch_id
             record.batch_size = batch.size
@@ -559,104 +554,17 @@ class SerializationServer:
             record.backend = BACKEND_CEREAL
             record.batch_id = batch.batch_id
             record.batch_size = batch.size
-            record.node = self.node_id
             self._stream_response(request, record, f"shard{shard.shard_id}")
             completions.append((finish, request.request_id))
             if self.config.engine != "device" and self._should_verify():
                 self._verify(request, BACKEND_CEREAL)
         return completions
 
-    # -- tracing ------------------------------------------------------------------------------
-
-    def _emit_request_spans(self, requests: Sequence[ServiceRequest]) -> None:
-        """Retrospectively record one span tree per completed request.
-
-        The event loop learns a request's finish time the moment its batch
-        dispatches (virtual time runs ahead of completion), so request
-        spans are emitted from the finished records rather than around live
-        code. Each completed request becomes a ``request`` span
-        (arrival → finish) on the ``requests`` track with ``queue``
-        (arrival → dispatch, the admission + coalescing wait) and
-        ``execute`` (dispatch → finish) children; shed requests leave an
-        instant marker instead. The span durations *are* the record's
-        latency decomposition, which is what lets the reconciliation test
-        re-derive the SLO percentiles from the exported trace exactly.
-        """
-        tracer = self.tracer
-        for request in requests:
-            record = self._records[request.request_id]
-            if not record.completed:
-                name = (
-                    "request.rejected"
-                    if record.outcome == OUTCOME_REJECTED
-                    else "request.shed"
-                )
-                tracer.instant(
-                    name,
-                    ts_ns=record.arrival_ns,
-                    category="request",
-                    track=self._track("requests"),
-                    request_id=record.request_id,
-                )
-                continue
-            parent = tracer.record_span(
-                "request",
-                record.arrival_ns,
-                record.finish_ns,
-                category="request",
-                track=self._track("requests"),
-                request_id=record.request_id,
-                kind=record.kind,
-                size_class=record.size_class,
-                outcome=record.outcome,
-                backend=record.backend,
-                batch_id=record.batch_id,
-                batch_size=record.batch_size,
-            )
-            tracer.record_span(
-                "request.queue",
-                record.arrival_ns,
-                record.dispatch_ns,
-                category="request",
-                track=self._track("requests"),
-                parent=parent,
-                request_id=record.request_id,
-            )
-            tracer.record_span(
-                "request.execute",
-                record.dispatch_ns,
-                record.finish_ns,
-                category="request",
-                track=self._track("requests"),
-                parent=parent,
-                request_id=record.request_id,
-                backend=record.backend,
-            )
-            if record.streamed and record.chunk_timeline:
-                for seq, start_ns, done_ns in record.chunk_timeline:
-                    tracer.record_span(
-                        "response.chunk",
-                        start_ns,
-                        done_ns,
-                        category="chunk",
-                        track=self._track("requests"),
-                        parent=parent,
-                        request_id=record.request_id,
-                        chunk=seq,
-                    )
-
-    # -- incremental event API (cluster driving) ------------------------------------------
+    # -- state transitions (driven by the fleet loop) ------------------------------------
 
     def register(self, request: ServiceRequest) -> RequestRecord:
         """Create (and index) the record for a request this server will see."""
-        record = RequestRecord(
-            request_id=request.request_id,
-            kind=request.kind,
-            size_class=request.entry.name,
-            arrival_ns=request.arrival_ns,
-            tenant=request.tenant,
-            priority=request.priority,
-        )
+        record = RequestRecord.for_request(request)
         self._records[request.request_id] = record
         return record
 
@@ -695,6 +603,7 @@ class SerializationServer:
         self.drain(now_ns)
         arrival = ArrivalOutcome()
         record = self._records[request.request_id]
+        record.node = self.node_id
         if request.malformed:
             # The hardened decode path refuses the payload with a typed
             # error before admission: no queue slot, no latency sample — a
@@ -748,64 +657,28 @@ class SerializationServer:
         self._note_completions(completions)
         return completions
 
-    # -- the event loop ----------------------------------------------------------------------
+    # -- standalone entry point ----------------------------------------------------------
 
     def run(self, requests: Sequence[ServiceRequest]) -> SLOReport:
-        """Simulate the full request sequence; returns the SLO report."""
+        """Simulate the full request sequence on this box; returns the SLO
+        report.
+
+        A standalone box is the one-node fleet without an autoscaler: the
+        fleet loop drives this instance as ``node0``, so its shards,
+        software lane and streamer hold the run's state afterwards.
+        """
+        from repro.cluster.cluster import ClusterConfig, SerializationCluster
+
         self._records = {}
-        self._inflight = []
-        for request in requests:
-            self.register(request)
-        if len(self._records) != len(requests):
-            raise ConfigError("request_ids must be unique within one run")
-
-        events: List[Tuple[float, int, str, object]] = []
-        tiebreak = 0
-        for request in requests:
-            events.append((request.arrival_ns, tiebreak, "arrival", request))
-            tiebreak += 1
-        heapq.heapify(events)
-
-        tracer = self.tracer
-        while events:
-            now_ns, _, etype, payload = heapq.heappop(events)
-            tracer.advance(now_ns)
-            if etype == "arrival":
-                arrival = self.on_arrival(payload, now_ns)
-                if arrival.deadline is not None:
-                    deadline_ns, kind, seq = arrival.deadline
-                    tiebreak += 1
-                    heapq.heappush(
-                        events, (deadline_ns, tiebreak, "deadline", (kind, seq))
-                    )
-            else:  # deadline
-                kind, seq = payload
-                self.on_deadline(kind, seq, now_ns)
-        # Safety drain: every opened group had a deadline event, so this is
-        # normally empty, but a zero-wait config flushed inline never opens
-        # groups and end-of-sequence semantics must not depend on that.
-        last = max((r.arrival_ns for r in requests), default=0.0)
-        self.flush_remaining(last)
-
-        if tracer.enabled:
-            self._emit_request_spans(requests)
-        report = SLOReport(
-            records=[self._records[r.request_id] for r in requests],
-            fault_report=self.injector.report if self.injector else None,
-            degraded_batches=self.degraded_batches,
-            mean_batch_size=self.coalescer.mean_batch_size,
-            peak_outstanding=self.admission.peak_outstanding,
-            verified_requests=self.verified_requests,
-            runtime_caches={
-                "plan_cache": plan_cache_stats(),
-                "layout_cache": layout_cache_stats(),
-                "buffer_pool": pool_stats(),
-                "secure_decode": decode_stats(),
-                **(
-                    {"streaming": self.streamer.stats()}
-                    if self.streamer is not None
-                    else {}
-                ),
-            },
+        cluster = SerializationCluster(
+            self.catalog,
+            ClusterConfig(num_nodes=1, service=self.config),
+            injector=self.injector,
+            tracer=self.tracer,
+            server=self,
         )
+        report = cluster.run(requests).slo
+        # One box knows its exact admission peak; a fleet only samples
+        # its queue depth at control ticks.
+        report.peak_outstanding = self.admission.peak_outstanding
         return report

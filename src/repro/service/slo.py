@@ -51,8 +51,9 @@ class RequestRecord:
     #: Multi-tenant QoS identity (empty outside tenant-mix workloads).
     tenant: str = ""
     priority: int = 0
-    #: The cluster node that finally served the request ("" when the run
-    #: is a single standalone server).
+    #: The node that last took the request: it served, degraded, shed or
+    #: rejected it. A standalone run is a one-node fleet, so its records
+    #: say ``node0``; "" means no node was routable when it arrived.
     node: str = ""
     #: Failover re-executions: how many times the request was re-routed
     #: after a node loss. Latency always spans arrival to *final* finish,
@@ -67,6 +68,18 @@ class RequestRecord:
     #: Per chunk ``(seq, wire_start_ns, wire_done_ns)``; feeds the
     #: ``response.chunk`` spans nested under the request span.
     chunk_timeline: Optional[List] = None
+
+    @classmethod
+    def for_request(cls, request) -> "RequestRecord":
+        """A fresh record for a :class:`~repro.service.workload.ServiceRequest`."""
+        return cls(
+            request_id=request.request_id,
+            kind=request.kind,
+            size_class=request.entry.name,
+            arrival_ns=request.arrival_ns,
+            tenant=request.tenant,
+            priority=request.priority,
+        )
 
     @property
     def completed(self) -> bool:
@@ -102,6 +115,9 @@ class SLOReport:
     fault_report: Optional[FaultReport] = None
     degraded_batches: int = 0
     mean_batch_size: float = 0.0
+    #: Peak admitted-but-unfinished requests. A standalone server reports
+    #: its admission controller's exact peak; a fleet reports the peak of
+    #: the ``cluster.queue_depth`` gauge it samples every control tick.
     peak_outstanding: int = 0
     verified_requests: int = 0
     #: Snapshot of the process-wide serialization caches at end of run

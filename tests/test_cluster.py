@@ -1,5 +1,8 @@
 """Tests for the repro.cluster fleet: routing, nodes, scaling, failover."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -122,6 +125,49 @@ class TestConsistentHashRing:
         ring.add_node("only")
         assert ring.preference("k", 3) == ["only"]
         assert ring.node_for("k") == "only"
+
+    def test_preference_matches_full_ring_walk(self):
+        """Differential check against the walk over every virtual node."""
+
+        def full_walk(ring, key, count):
+            if not ring._points or count <= 0:
+                return []
+            start = bisect.bisect_right(ring._points, stable_hash(key))
+            chosen = []
+            seen = set()
+            for offset in range(len(ring._points)):
+                point = ring._points[(start + offset) % len(ring._points)]
+                owner = ring._owner[point]
+                if owner in seen:
+                    continue
+                seen.add(owner)
+                chosen.append(owner)
+                if len(chosen) >= count:
+                    break
+            return chosen
+
+        rng = random.Random(20261017)
+        for trial in range(40):
+            ring = ConsistentHashRing(vnodes=rng.choice((1, 4, 16, 64)))
+            pool = [f"node{i}" for i in range(8)]
+            members = []
+            for step in range(12):
+                # Churn: grow towards 6 nodes, shrink towards 1.
+                grow = len(members) < rng.randint(1, 6)
+                if grow and len(members) < 6:
+                    node = rng.choice([n for n in pool if n not in members])
+                    ring.add_node(node)
+                    members.append(node)
+                elif len(members) > 1:
+                    node = rng.choice(members)
+                    ring.remove_node(node)
+                    members.remove(node)
+                for index in range(25):
+                    key = f"t{trial}-s{step}-k{index}"
+                    for count in range(1, 5):
+                        assert ring.preference(key, count) == full_walk(
+                            ring, key, count
+                        ), (trial, step, key, count, sorted(members))
 
     def test_empty_ring_routes_nowhere(self):
         ring = ConsistentHashRing()
@@ -348,6 +394,28 @@ class TestSerializationCluster:
             if record.completed:
                 assert record.finish_ns > record.arrival_ns
                 assert record.node != ""
+
+    def test_failover_counts_each_completion_once(self, catalog):
+        """A reaped request that is still waiting in its replica's batch
+        when its dead finish time passes must not count for the dead node:
+        the record names its new node from the moment the replica takes it.
+        """
+        injector = FaultInjector(FaultPolicy(seed=5, node_loss_prob=0.02))
+        config = ClusterConfig(
+            num_nodes=4,
+            control_interval_ns=50_000.0,
+            service=ServiceConfig(
+                num_shards=1,
+                admission=AdmissionConfig(max_outstanding=4096),
+            ),
+        )
+        cluster = SerializationCluster(catalog, config, injector=injector)
+        report = cluster.run(
+            _workload(catalog, num_requests=3000, qps=150_000, seed=5)
+        )
+        assert report.retried_requests > 0
+        served = sum(node["served_requests"] for node in report.nodes)
+        assert served == report.slo.completed_requests
 
     def test_autoscaler_grows_fleet_under_pressure(self, catalog):
         config = ClusterConfig(

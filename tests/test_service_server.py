@@ -1,17 +1,27 @@
 """End-to-end tests of the event-loop serialization server."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.cluster.autoscale import GAUGE_QUEUE_DEPTH
 from repro.faults import FaultInjector, FaultPolicy
+from repro.obs.metrics import Gauge
 from repro.service import (
+    DEFAULT_TENANTS,
     AdmissionConfig,
+    BurstyWorkload,
+    FlashCrowdWorkload,
+    KeySkew,
     PoissonWorkload,
     RequestMix,
     SerializationServer,
     ServiceCatalog,
     ServiceConfig,
     SizeClass,
+    StreamingConfig,
 )
 from repro.service.slo import (
     BACKEND_CEREAL,
@@ -126,6 +136,17 @@ class TestServerBasics:
         assert size_unbatched == 1.0
         assert size_batched > 1.5
         assert batched > unbatched
+
+    def test_run_releases_every_admission_slot(self, catalog):
+        """The loop runs until every admitted request has finished, so a
+        server reused for another run starts with an empty queue."""
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=1, functional="off")
+        )
+        report = server.run(_workload(catalog, 1.2))
+        assert report.peak_outstanding > 0
+        assert server.admission.outstanding == 0
+        assert server.inflight_count == 0
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
@@ -310,3 +331,194 @@ class TestDeviceEngine:
             return [r.outcome for r in report.records]
 
         assert outcomes("analytic") == outcomes("device")
+
+
+class TestPeakOutstanding:
+    """``peak_outstanding`` is exact for a box, sampled for a fleet."""
+
+    @staticmethod
+    def _record_queue_depths(monkeypatch):
+        published = []
+        original = Gauge.set
+
+        def recording_set(gauge, value):
+            if gauge.name == GAUGE_QUEUE_DEPTH:
+                published.append(value)
+            original(gauge, value)
+
+        monkeypatch.setattr(Gauge, "set", recording_set)
+        return published
+
+    def test_standalone_reports_exact_admission_peak(self, catalog, monkeypatch):
+        published = self._record_queue_depths(monkeypatch)
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=1, functional="off")
+        )
+        report = server.run(_workload(catalog, 1.5, num_requests=800))
+        assert report.peak_outstanding == server.admission.peak_outstanding
+        # The fleet loop sampled the box too, but the box reports the
+        # exact peak, which no control-tick sample can exceed.
+        assert published
+        assert report.peak_outstanding >= max(published)
+
+    def test_fleet_reports_peak_of_sampled_queue_depth(self, catalog, monkeypatch):
+        from repro.cluster import ClusterConfig, SerializationCluster
+
+        published = self._record_queue_depths(monkeypatch)
+        cluster = SerializationCluster(
+            catalog,
+            ClusterConfig(
+                num_nodes=2, service=ServiceConfig(num_shards=1, functional="off")
+            ),
+        )
+        report = cluster.run(_workload(catalog, 3.0, num_requests=800))
+        assert published
+        assert report.slo.peak_outstanding == max(published)
+
+
+# -- golden pins ------------------------------------------------------------------------
+#
+# Seeded runs whose every modelled output is pinned: the SLO report (minus
+# the process-wide ``runtime_caches``), each record's timing and placement
+# fields, and each shard's dispatch counters. The digests were recorded
+# from the two-event-loop implementation, so they hold the one-node fleet
+# that now drives a standalone run to the exact same schedule.
+
+_RECORD_FIELDS = (
+    "arrival_ns",
+    "dispatch_ns",
+    "finish_ns",
+    "outcome",
+    "backend",
+    "batch_id",
+    "batch_size",
+    "streamed",
+    "chunks",
+    "first_byte_ns",
+    "retries",
+)
+
+
+def _server_state(server):
+    return {
+        "shards": [
+            [shard.dispatched_batches, shard.dispatched_requests]
+            for shard in server.shards
+        ],
+        "verified_requests": server.verified_requests,
+        "degraded_batches": server.degraded_batches,
+    }
+
+
+def _fingerprint(summary, report, servers):
+    payload = {
+        "summary": summary,
+        "records": [
+            [getattr(record, name) for name in _RECORD_FIELDS]
+            for record in report.records
+        ],
+        "servers": [_server_state(server) for server in servers],
+    }
+    blob = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _run_server(catalog, config, requests, injector=None):
+    server = SerializationServer(catalog, config, injector=injector)
+    report = server.run(requests)
+    summary = report.as_dict()
+    summary.pop("runtime_caches")
+    return report, _fingerprint(summary, report, [server])
+
+
+def _pin_chaos_sampled(catalog):
+    injector = FaultInjector(FaultPolicy(seed=0xC405, accelerator_fault_prob=0.2))
+    config = ServiceConfig(
+        num_shards=2,
+        functional="sample",
+        functional_every=4,
+        admission=AdmissionConfig(max_outstanding=128, degrade_threshold=0.75),
+    )
+    return _run_server(
+        catalog, config, _workload(catalog, 1.5, num_requests=600), injector
+    )
+
+
+def _pin_streaming_all(catalog):
+    config = ServiceConfig(
+        num_shards=2,
+        functional="all",
+        streaming=StreamingConfig(chunk_bytes=1024, threshold_bytes=2048),
+    )
+    return _run_server(catalog, config, _workload(catalog, 0.8, num_requests=300))
+
+
+def _pin_malformed_bursty_size_aware(catalog):
+    requests = BurstyWorkload(
+        qps=1.2 * _capacity_qps(catalog),
+        num_requests=600,
+        seed=5,
+        mix=_MIX,
+        malformed_fraction=0.05,
+    ).generate(catalog)
+    config = ServiceConfig(
+        num_shards=4,
+        routing="size-aware",
+        size_aware_bytes=4096,
+        functional="off",
+    )
+    return _run_server(catalog, config, requests)
+
+
+def _pin_zero_wait_round_robin(catalog):
+    config = ServiceConfig(
+        num_shards=3, routing="round-robin", batch_wait_ns=0.0, functional="off"
+    )
+    return _run_server(catalog, config, _workload(catalog, 1.2, num_requests=600))
+
+
+def _pin_device_engine(catalog):
+    config = ServiceConfig(num_shards=2, engine="device", functional="off")
+    return _run_server(catalog, config, _workload(catalog, 0.5, num_requests=60))
+
+
+def _pin_four_node_cluster(catalog):
+    from repro.cluster import ClusterConfig, SerializationCluster
+
+    requests = FlashCrowdWorkload(
+        qps=4 * _capacity_qps(catalog),
+        num_requests=1500,
+        seed=9,
+        mix=_MIX,
+        keys=KeySkew(),
+        tenants=DEFAULT_TENANTS,
+    ).generate(catalog)
+    cluster = SerializationCluster(
+        catalog,
+        ClusterConfig(num_nodes=4, service=ServiceConfig(functional="off")),
+        injector=FaultInjector(FaultPolicy(seed=23, node_loss_prob=0.1)),
+    )
+    report = cluster.run(requests)
+    summary = report.as_dict()
+    summary["slo"].pop("runtime_caches")
+    servers = [cluster._nodes[node_id].server for node_id in cluster._order]
+    return report.slo, _fingerprint(summary, report.slo, servers)
+
+
+_GOLDEN = {
+    "chaos_sampled": (_pin_chaos_sampled, "76cb207f14f4ae35"),
+    "streaming_all": (_pin_streaming_all, "27e39512fbd43b71"),
+    "malformed_bursty_size_aware": (_pin_malformed_bursty_size_aware, "c9d5eaae6cf63c53"),
+    "zero_wait_round_robin": (_pin_zero_wait_round_robin, "bf98173b3220d692"),
+    "device_engine": (_pin_device_engine, "3813fb632f2ed592"),
+    "four_node_cluster": (_pin_four_node_cluster, "1240f46b2714cd0a"),
+}
+
+
+class TestGoldenPins:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_modelled_outputs_match_pin(self, catalog, name):
+        run, expected = _GOLDEN[name]
+        report, digest = run(catalog)
+        assert report.total_requests > 0
+        assert digest == expected, f"{name}: digest {digest} != pinned {expected}"
