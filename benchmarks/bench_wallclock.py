@@ -17,7 +17,8 @@ fast path rewrote:
    gated deserialize speedups carry their own floor, and the plan-cache
    hit rate must show the cache actually warming.
 4. **Service layer** — simulated-nanoseconds advanced per wall-clock
-   second by the analytic event-loop server.
+   second by the analytic event-loop server, plus the wall time of the
+   same stream with sampled round-trip verification (report-only).
 
 Gating policy: absolute MB/s depends on the host, so CI gates only on
 machine-portable *ratios* (fast vs slow measured back-to-back on the same
@@ -365,12 +366,22 @@ def bench_service(smoke: bool) -> Dict[str, float]:
     report = server.run(requests)
     run_s = time.perf_counter() - begin
     sim_ns = max(record.finish_ns for record in report.records)
+    # The same stream with the default sampled round-trip verification:
+    # report-only, it shows what functional checking adds to a run.
+    sampled = SerializationServer(
+        catalog, ServiceConfig(num_shards=2, engine="analytic", functional="sample")
+    )
+    begin = time.perf_counter()
+    sampled_report = sampled.run(requests)
+    sampled_s = time.perf_counter() - begin
     return {
         "requests": len(requests),
         "catalog_build_sec": _round(build_s),
         "run_sec": _round(run_s),
         "sim_seconds_per_wall_second": _round(sim_ns / 1e9 / run_s),
         "requests_per_wall_second": _round(len(requests) / run_s),
+        "sampled_run_sec": _round(sampled_s),
+        "verified_requests": sampled_report.verified_requests,
     }
 
 
@@ -583,7 +594,9 @@ def run(smoke: bool = False, update_baseline: bool = False) -> bool:
     )
     print(
         f"  service: {service_results['sim_seconds_per_wall_second']} "
-        f"sim-sec/wall-sec over {service_results['requests']} requests"
+        f"sim-sec/wall-sec over {service_results['requests']} requests; "
+        f"sampled verification {service_results['sampled_run_sec']} s "
+        f"({service_results['verified_requests']} verified)"
     )
     ok = True
     for check, outcome in sorted(checks.items()):

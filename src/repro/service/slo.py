@@ -119,6 +119,9 @@ class SLOReport:
     #: its admission controller's exact peak; a fleet reports the peak of
     #: the ``cluster.queue_depth`` gauge it samples every control tick.
     peak_outstanding: int = 0
+    #: Requests whose round trip was functionally checked, one count per
+    #: request, whether the check decoded again or matched the stream
+    #: bytes of an earlier full proof (see ``SerializationServer._verify``).
     verified_requests: int = 0
     #: Snapshot of the process-wide serialization caches at end of run
     #: (compiled-plan cache, klass layout cache, output buffer pool) —

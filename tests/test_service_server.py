@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.autoscale import GAUGE_QUEUE_DEPTH
 from repro.faults import FaultInjector, FaultPolicy
 from repro.obs.metrics import Gauge
@@ -374,6 +374,158 @@ class TestPeakOutstanding:
         report = cluster.run(_workload(catalog, 3.0, num_requests=800))
         assert published
         assert report.slo.peak_outstanding == max(published)
+
+
+# -- verification mutants ----------------------------------------------------------------
+#
+# A server proves each serialize round trip in full once and then accepts
+# byte-identical streams without decoding again. Each mutant below breaks
+# one codec call or the source graph *after* that first proof; every one
+# must still fail the run.
+
+_KTH_CALL = 3
+
+
+def _private_catalog():
+    """A catalog of its own: the mutants corrupt its codecs and graphs."""
+    return ServiceCatalog(size_classes=_SIZE_CLASSES)
+
+
+def _bump_first_primitive(root, delta=1):
+    """Change the root's first primitive field by ``delta``; returns its name."""
+    for descriptor in root.klass.fields:
+        if not descriptor.kind.is_reference:
+            root.set(descriptor.name, root.get(descriptor.name) + delta)
+            return descriptor.name
+    raise AssertionError(f"{root.klass.name} has no primitive field")
+
+
+def _serialize_one_slot_off(codec, root):
+    """A stream that decodes fine but to a graph with one slot changed."""
+    _bump_first_primitive(root)
+    try:
+        return codec.serialize(root)
+    finally:
+        _bump_first_primitive(root, -1)
+
+
+def _serialize_after_corrupting_source(codec, root):
+    _bump_first_primitive(root)  # left corrupted: the source graph is bad now
+    return codec.serialize(root)
+
+
+class _KthCallMutant:
+    """Delegates to ``codec`` except on the ``k``-th call of ``method``.
+
+    A corrupted serialize returns ``corrupt(codec, root)``; a corrupted
+    deserialize decodes faithfully, then changes one slot of the result.
+    """
+
+    def __init__(self, codec, method, k=_KTH_CALL, corrupt=_serialize_one_slot_off):
+        self.codec = codec
+        self.method = method
+        self.k = k
+        self.corrupt = corrupt
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.codec, name)
+
+    def _hit(self, method):
+        if method != self.method:
+            return False
+        self.calls += 1
+        return self.calls == self.k
+
+    def serialize(self, root):
+        if self._hit("serialize"):
+            return self.corrupt(self.codec, root)
+        return self.codec.serialize(root)
+
+    def deserialize(self, stream, heap):
+        result = self.codec.deserialize(stream, heap)
+        if self._hit("deserialize"):
+            _bump_first_primitive(result.root)
+        return result
+
+
+_ROUND_TRIP_PATH = r"did not round-trip: root\.\w+: "
+
+
+class TestVerificationMutants:
+    def test_faithful_wrapper_passes(self):
+        catalog = _private_catalog()
+        wrapper = _KthCallMutant(catalog.accelerator.codec, "serialize", k=10**9)
+        catalog.accelerator.codec = wrapper
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=2, functional="all")
+        )
+        report = server.run(_workload(catalog, 0.4))
+        assert report.verified_requests == report.completed_requests == 400
+        assert wrapper.calls > _KTH_CALL
+
+    @pytest.mark.parametrize("functional", ["all", "sample"])
+    @pytest.mark.parametrize("method", ["serialize", "deserialize"])
+    def test_kth_call_mutant_is_caught(self, method, functional):
+        catalog = _private_catalog()
+        mutant = _KthCallMutant(catalog.accelerator.codec, method)
+        catalog.accelerator.codec = mutant
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=2, functional=functional)
+        )
+        with pytest.raises(SimulationError, match=_ROUND_TRIP_PATH):
+            server.run(_workload(catalog, 0.4))
+        assert mutant.calls == _KTH_CALL
+
+    def test_source_graph_corrupted_after_first_proof_is_caught(self):
+        catalog = _private_catalog()
+        mutant = _KthCallMutant(
+            catalog.accelerator.codec,
+            "serialize",
+            corrupt=_serialize_after_corrupting_source,
+        )
+        catalog.accelerator.codec = mutant
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=2, functional="all")
+        )
+        with pytest.raises(SimulationError, match=r"\(deserialize .*" + _ROUND_TRIP_PATH):
+            server.run(_workload(catalog, 0.4))
+        assert mutant.calls >= _KTH_CALL
+
+    @pytest.mark.parametrize("functional", ["all", "sample"])
+    def test_fallback_serializer_mutant_is_caught(self, functional):
+        catalog = _private_catalog()
+        mutant = _KthCallMutant(catalog.fallback_serializer, "serialize")
+        catalog.fallback_serializer = mutant
+        injector = FaultInjector(FaultPolicy(seed=7, accelerator_fault_prob=1.0))
+        server = SerializationServer(
+            catalog,
+            ServiceConfig(num_shards=2, functional=functional),
+            injector=injector,
+        )
+        with pytest.raises(
+            SimulationError, match=r"via software\) " + _ROUND_TRIP_PATH
+        ):
+            server.run(_workload(catalog, 0.4))
+        assert mutant.calls == _KTH_CALL
+
+    def test_device_shard_failure_names_the_path(self, monkeypatch):
+        from repro.service import server as server_module
+        from repro.service.timing_cache import LRUCache
+
+        # Cached batch timelines replay an earlier verified execution, so
+        # start from an empty cache to make the device check run.
+        monkeypatch.setattr(server_module, "device_batch_cache", LRUCache())
+        catalog = _private_catalog()
+        field = _bump_first_primitive(catalog.entries["small"].root)
+        server = SerializationServer(
+            catalog, ServiceConfig(num_shards=2, engine="device", functional="off")
+        )
+        with pytest.raises(
+            SimulationError,
+            match=rf"deserialize of 'small' did not round-trip: root\.{field}: ",
+        ):
+            server.run(_workload(catalog, 0.5, num_requests=60))
 
 
 # -- golden pins ------------------------------------------------------------------------
