@@ -130,9 +130,13 @@ class CerealAccelerator:
     def deserialize(
         self, stream: SerializedStream, heap: Heap
     ) -> Tuple[HeapObject, OperationTiming, DUResult]:
-        """Deserialize functionally and time the DU pipeline."""
-        deser = self.codec.deserialize(stream, heap)
-        sections = CerealSerializer.decode_sections(stream)
+        """Deserialize functionally and time the DU pipeline.
+
+        The stream is decoded once: the functional rebuild and the DU's
+        block workload read the same sections.
+        """
+        sections = self.codec.decode_checked(stream)
+        deser = self.codec.rebuild(sections, heap, len(stream.data))
         workload = DUWorkload.from_stream_sections(sections)
         mai = self._fresh_memory_system()
         unit = DeserializationUnit(mai, self.class_id_table, self.config)

@@ -23,8 +23,8 @@ from repro.cereal.mai import MemoryAccessInterface
 from repro.cereal.su import SerializationUnit
 from repro.cereal.tlb import TLB
 from repro.common.errors import SimulationError
-from repro.formats.base import SerializedStream
-from repro.formats.cereal_format import CerealSerializer, CerealStreamSections
+from repro.formats.base import SerializationResult, SerializedStream
+from repro.formats.cereal_format import CerealStreamSections
 from repro.jvm.heap import Heap, HeapObject
 from repro.memory.dram import DRAMModel
 
@@ -141,10 +141,16 @@ class DeviceSimulator:
         su_mais = [make_mai() for _ in su_free]
         du_mais = [make_mai() for _ in du_free]
 
-        # Stream-side DU inputs, derived once per distinct stream object:
-        # the sections and the block decomposition depend only on the bytes.
-        # Each entry holds its stream so the id key stays unique for the run.
+        # Functional work done once per distinct input in this run; each
+        # entry holds its key object so the id stays unique for the run.
+        # A root is encoded once: the SU writes only the header extension
+        # words, which the encoder emits as zeros, so a repeat request's
+        # stream would be byte-identical. A stream is checked, decoded and
+        # split into DU blocks once; each receiver heap still gets its own
+        # rebuild.
+        encoded: Dict[int, Tuple[HeapObject, SerializationResult]] = {}
         du_inputs: Dict[int, Tuple[SerializedStream, CerealStreamSections, DUWorkload]] = {}
+        codec = self.accelerator.codec
 
         operations: List[DeviceOperation] = []
         wall_time = 0.0
@@ -154,7 +160,10 @@ class DeviceSimulator:
                 _, root = request  # type: ignore[misc]
                 unit_index = min(range(len(su_free)), key=lambda i: su_free[i])
                 start = su_free[unit_index]
-                result = self.accelerator.codec.serialize(root)
+                memo = encoded.get(id(root))
+                if memo is None:
+                    memo = encoded[id(root)] = (root, codec.serialize(root))
+                result = memo[1]
                 unit = SerializationUnit(
                     su_mais[unit_index],
                     self.accelerator.klass_pointer_table,
@@ -186,14 +195,14 @@ class DeviceSimulator:
                 _, stream, heap = request  # type: ignore[misc]
                 unit_index = min(range(len(du_free)), key=lambda i: du_free[i])
                 start = du_free[unit_index]
-                deser = self.accelerator.codec.deserialize(stream, heap)
                 cached = du_inputs.get(id(stream))
                 if cached is None:
-                    sections = CerealSerializer.decode_sections(stream)
+                    sections = codec.decode_checked(stream)
                     cached = du_inputs[id(stream)] = (
                         stream, sections, DUWorkload.from_stream_sections(sections),
                     )
                 _, sections, workload = cached
+                deser = codec.rebuild(sections, heap, len(stream.data))
                 unit = DeserializationUnit(
                     du_mais[unit_index],
                     self.accelerator.class_id_table,

@@ -66,62 +66,66 @@ class MemoryAccessInterface:
         self.stats = MAIStats()
         self.last_drain_ns = 0.0
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _blocks_of(self, address: int, length: int):
-        if length <= 0:
-            raise SimulationError(f"access length must be positive, got {length}")
-        first = address // self.block_bytes
-        last = (address + length - 1) // self.block_bytes
-        return range(first, last + 1)
-
-    def _track(self, block: int, completion: float) -> None:
-        self._entries[block] = completion
-        self._entries.move_to_end(block)
-        if len(self._entries) > self.config.mai_entries:
-            self._entries.popitem(last=False)
-
     # -- reads ------------------------------------------------------------------
 
     def read(self, when_ns: float, address: int, length: int) -> float:
         """Issue a read; returns the in-order completion time (ns)."""
-        self.stats.read_requests += 1
+        stats = self.stats
+        stats.read_requests += 1
         when_ns += self.tlb.translate(address)
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
+        block_bytes = self.block_bytes
+        entries = self._entries
+        coalescing = self.coalescing
+        access = self.dram.access
+        # Coherence "get": fetching the up-to-date copy may take a detour
+        # through the host's cache hierarchy (Section V-E).
+        coherence_ns = self.config.coherence_extra_read_ns
+        capacity = self.config.mai_entries
         completion = when_ns
-        for block in self._blocks_of(address, length):
-            tracked = self._entries.get(block) if self.coalescing else None
+        for block in range(address // block_bytes, (address + length - 1) // block_bytes + 1):
+            tracked = entries.get(block) if coalescing else None
             if tracked is not None:
                 # Coalesce onto the outstanding/recent entry.
-                self.stats.coalesced_blocks += 1
-                block_done = max(when_ns, tracked)
+                stats.coalesced_blocks += 1
+                block_done = tracked if tracked > when_ns else when_ns
             else:
-                self.stats.blocks_read += 1
-                block_done = self.dram.access(
-                    when_ns,
-                    block * self.block_bytes,
-                    self.block_bytes,
-                    is_write=False,
+                stats.blocks_read += 1
+                block_done = (
+                    access(when_ns, block * block_bytes, block_bytes, is_write=False)
+                    + coherence_ns
                 )
-                # Coherence "get": fetching the up-to-date copy may take a
-                # detour through the host's cache hierarchy (Section V-E).
-                block_done += self.config.coherence_extra_read_ns
-                self._track(block, block_done)
-            completion = max(completion, block_done)
+                entries[block] = block_done
+                entries.move_to_end(block)
+                if len(entries) > capacity:
+                    entries.popitem(last=False)
+            if block_done > completion:
+                completion = block_done
         return completion
 
     # -- writes (posted) ------------------------------------------------------------
 
     def write(self, when_ns: float, address: int, length: int) -> float:
         """Post a write; returns the hand-off time (requester continues)."""
-        self.stats.write_requests += 1
+        stats = self.stats
+        stats.write_requests += 1
         when_ns += self.tlb.translate(address)
-        for block in self._blocks_of(address, length):
-            self.stats.blocks_written += 1
-            done = self.dram.access(
-                when_ns, block * self.block_bytes, self.block_bytes, is_write=True
-            )
-            self._track(block, done)
-            self.last_drain_ns = max(self.last_drain_ns, done)
+        if length <= 0:
+            raise SimulationError(f"access length must be positive, got {length}")
+        block_bytes = self.block_bytes
+        entries = self._entries
+        access = self.dram.access
+        capacity = self.config.mai_entries
+        for block in range(address // block_bytes, (address + length - 1) // block_bytes + 1):
+            stats.blocks_written += 1
+            done = access(when_ns, block * block_bytes, block_bytes, is_write=True)
+            entries[block] = done
+            entries.move_to_end(block)
+            if len(entries) > capacity:
+                entries.popitem(last=False)
+            if done > self.last_drain_ns:
+                self.last_drain_ns = done
         return when_ns + 1.0  # one cycle to enqueue into the MAI
 
     # -- atomic read-modify-write ------------------------------------------------------

@@ -33,7 +33,7 @@ model in :mod:`repro.cereal` produces identical bytes while accounting time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.common.bufpool import acquire_buffer, release_buffer
@@ -103,14 +103,28 @@ class CerealStreamSections:
     mark_stripped: bool = False
     raw_references: Optional[List[int]] = None
     raw_bitmaps: Optional[List[List[int]]] = None
+    # Unpacked views, filled on first use (see the two accessors below).
+    _references: Optional[List[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bitmap_words: Optional[List[tuple]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def reference_values(self) -> List[int]:
-        """Reference-array entries (relative+1, 0=null), either format."""
-        if self.packed:
-            assert self.references is not None
-            return unpack_items(self.references)
-        assert self.raw_references is not None
-        return list(self.raw_references)
+        """Reference-array entries (relative+1, 0=null), either format.
+
+        Unpacked once per sections object; every caller gets the same
+        list and must not modify it.
+        """
+        if self._references is None:
+            if self.packed:
+                assert self.references is not None
+                self._references = unpack_items(self.references)
+            else:
+                assert self.raw_references is not None
+                self._references = list(self.raw_references)
+        return self._references
 
     def layout_bitmaps(self) -> List[List[int]]:
         """Per-object layout bitmaps, either format."""
@@ -120,12 +134,19 @@ class CerealStreamSections:
         ]
 
     def layout_bitmap_words(self) -> List[tuple]:
-        """Per-object layout bitmaps as ``(word, width)`` pairs (fast path)."""
-        if self.packed:
-            assert self.bitmaps is not None
-            return unpack_bitmap_words(self.bitmaps)
-        assert self.raw_bitmaps is not None
-        return [bits_to_word(bitmap) for bitmap in self.raw_bitmaps]
+        """Per-object layout bitmaps as ``(word, width)`` pairs (fast path).
+
+        Unpacked once per sections object, shared like
+        :meth:`reference_values`.
+        """
+        if self._bitmap_words is None:
+            if self.packed:
+                assert self.bitmaps is not None
+                self._bitmap_words = unpack_bitmap_words(self.bitmaps)
+            else:
+                assert self.raw_bitmaps is not None
+                self._bitmap_words = [bits_to_word(bitmap) for bitmap in self.raw_bitmaps]
+        return self._bitmap_words
 
     @property
     def reference_count(self) -> int:
@@ -565,15 +586,38 @@ class CerealSerializer(Serializer):
         heap: Heap,
         limits: Optional[DecodeLimits] = None,
     ) -> DeserializationResult:
+        return self.rebuild(self.decode_checked(stream, limits), heap, len(stream.data))
+
+    @classmethod
+    def decode_checked(
+        cls, stream: SerializedStream, limits: Optional[DecodeLimits] = None
+    ) -> CerealStreamSections:
+        """The stream checks and section decode of :meth:`deserialize`.
+
+        Applies every :class:`DecodeLimits` check that needs only the
+        stream. The result can feed :meth:`rebuild` any number of times,
+        one heap each, without decoding or unpacking the stream again.
+        """
         limits = resolve_limits(limits)
         limits.check_stream_bytes(len(stream.data))
-        sections = self.decode_sections(stream)
-        profile = WorkProfile()
+        sections = cls.decode_sections(stream)
         if sections.object_count == 0:
             raise FormatError("empty Cereal stream")
         limits.check_objects(sections.object_count)
         limits.check_graph_bytes(sections.graph_total_bytes)
+        return sections
 
+    def rebuild(
+        self, sections: CerealStreamSections, heap: Heap, stream_bytes: int
+    ) -> DeserializationResult:
+        """Rebuild the graph of checked ``sections`` onto ``heap``.
+
+        ``stream_bytes`` is the length of the stream the sections came
+        from (the work profile's bytes read). Validates the image against
+        its own framing, so a lying stream raises :class:`FormatError`
+        instead of returning a graph with dangling references.
+        """
+        profile = WorkProfile()
         references = sections.reference_values()
         bitmap_items = sections.layout_bitmap_words()
         if len(bitmap_items) != sections.object_count:
@@ -715,7 +759,7 @@ class CerealSerializer(Serializer):
                 )
 
         assert root_obj is not None
-        profile.bytes_read = len(stream.data)
+        profile.bytes_read = stream_bytes
         profile.bytes_written = sections.graph_total_bytes
         profile.add_instructions(sections.graph_total_bytes // 8)
         return DeserializationResult(root_obj, profile)

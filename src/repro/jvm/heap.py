@@ -40,11 +40,13 @@ from repro.memory.trace import MemoryTrace
 HEAP_BASE = 0x0001_0000
 NULL_ADDRESS = 0
 
-_COUNTER_MASK = 0xFFFF
-_UNIT_SHIFT = 16
-_UNIT_MASK = 0xFF
-_RELADDR_SHIFT = 24
-_RELADDR_MASK = 0xFFFF_FFFF
+# Cereal extension word: its offset in the header and its fields.
+EXTENSION_OFFSET = 16
+COUNTER_MASK = 0xFFFF
+UNIT_SHIFT = 16
+UNIT_MASK = 0xFF
+RELADDR_SHIFT = 24
+RELADDR_MASK = 0xFFFF_FFFF
 
 FieldValue = Union[int, float, bool, "HeapObject", None]
 
@@ -337,47 +339,47 @@ class HeapObject:
     def _extension_address(self) -> int:
         if not self.heap.cereal_extension:
             raise HeapError("heap was created without the Cereal header extension")
-        return self.address + 16
+        return self.address + EXTENSION_OFFSET
 
     @property
     def serialization_counter(self) -> int:
         word = self.heap.memory.read_u64(self._extension_address())
-        return word & _COUNTER_MASK
+        return word & COUNTER_MASK
 
     @serialization_counter.setter
     def serialization_counter(self, value: int) -> None:
-        if not 0 <= value <= _COUNTER_MASK:
+        if not 0 <= value <= COUNTER_MASK:
             raise HeapError(f"serialization counter out of 16-bit range: {value}")
         addr = self._extension_address()
         word = self.heap.memory.read_u64(addr)
-        self.heap.memory.write_u64(addr, (word & ~_COUNTER_MASK) | value)
+        self.heap.memory.write_u64(addr, (word & ~COUNTER_MASK) | value)
 
     @property
     def serialization_unit_id(self) -> int:
         word = self.heap.memory.read_u64(self._extension_address())
-        return (word >> _UNIT_SHIFT) & _UNIT_MASK
+        return (word >> UNIT_SHIFT) & UNIT_MASK
 
     @serialization_unit_id.setter
     def serialization_unit_id(self, value: int) -> None:
-        if not 0 <= value <= _UNIT_MASK:
+        if not 0 <= value <= UNIT_MASK:
             raise HeapError(f"unit ID out of 8-bit range: {value}")
         addr = self._extension_address()
         word = self.heap.memory.read_u64(addr)
-        word = (word & ~(_UNIT_MASK << _UNIT_SHIFT)) | (value << _UNIT_SHIFT)
+        word = (word & ~(UNIT_MASK << UNIT_SHIFT)) | (value << UNIT_SHIFT)
         self.heap.memory.write_u64(addr, word)
 
     @property
     def serialized_relative_address(self) -> int:
         word = self.heap.memory.read_u64(self._extension_address())
-        return (word >> _RELADDR_SHIFT) & _RELADDR_MASK
+        return (word >> RELADDR_SHIFT) & RELADDR_MASK
 
     @serialized_relative_address.setter
     def serialized_relative_address(self, value: int) -> None:
-        if not 0 <= value <= _RELADDR_MASK:
+        if not 0 <= value <= RELADDR_MASK:
             raise HeapError(f"relative address out of 32-bit range: {value}")
         addr = self._extension_address()
         word = self.heap.memory.read_u64(addr)
-        word = (word & ~(_RELADDR_MASK << _RELADDR_SHIFT)) | (value << _RELADDR_SHIFT)
+        word = (word & ~(RELADDR_MASK << RELADDR_SHIFT)) | (value << RELADDR_SHIFT)
         self.heap.memory.write_u64(addr, word)
 
     def clear_serialization_metadata(self) -> None:

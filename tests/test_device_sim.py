@@ -9,8 +9,8 @@ import pytest
 from repro.cereal import CerealAccelerator, DeviceSimulator
 from repro.cereal.du import DUWorkload
 from repro.common.config import CerealConfig
-from repro.common.errors import SimulationError
-from repro.formats import graphs_equivalent
+from repro.common.errors import FormatError, SimulationError
+from repro.formats import CerealSerializer, cereal_format, graphs_equivalent
 from repro.jvm import Heap
 from repro.memory.dram import DRAMModel, _IntervalChannel
 from tests.test_serializers import build_tree, make_registry
@@ -461,3 +461,87 @@ class TestDUWorkloadReuse:
         fresh = simulator.run(_deserialize_requests(registry, copies))
         assert len(derivations) == len(streams)
         assert _run_dict(fresh) == _run_dict(mixed)
+
+
+class TestRunLocalCodecReuse:
+    """One encode per distinct root and one decode per distinct stream."""
+
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        calls = {"serialize": 0, "unpack_items": 0}
+        serialize = CerealSerializer.serialize
+        unpack_items = cereal_format.unpack_items
+
+        def counting_serialize(self, root):
+            calls["serialize"] += 1
+            return serialize(self, root)
+
+        def counting_unpack(packed):
+            calls["unpack_items"] += 1
+            return unpack_items(packed)
+
+        monkeypatch.setattr(CerealSerializer, "serialize", counting_serialize)
+        monkeypatch.setattr(cereal_format, "unpack_items", counting_unpack)
+        return calls
+
+    def test_each_distinct_root_encoded_once(self, device, codec_calls):
+        _, accelerator, heap, simulator = device
+        small, large = build_tree(heap, depth=3), build_tree(heap, depth=5)
+        roots = [small, large, small, small, large, small, large, small, small]
+        result = simulator.run([("serialize", root) for root in roots])
+        assert codec_calls["serialize"] == 2
+        assert len(result.operations) == len(roots)
+        fresh = CerealSerializer(accelerator.registration)
+        for root, op in zip(roots, result.operations):
+            assert op.stream.data == fresh.serialize(root).stream.data
+
+    def test_memo_is_run_local(self, device, codec_calls):
+        _, _, heap, simulator = device
+        root = build_tree(heap, depth=3)
+        first = simulator.run([("serialize", root)] * 3)
+        root.set("value", 12345)
+        second = simulator.run([("serialize", root)] * 3)
+        assert codec_calls["serialize"] == 2
+        assert first.operations[0].stream.data != second.operations[0].stream.data
+        fresh = CerealSerializer(simulator.accelerator.registration)
+        assert second.operations[2].stream.data == fresh.serialize(root).stream.data
+
+    def test_each_distinct_stream_unpacked_once(self, device, codec_calls):
+        registry, accelerator, heap, simulator = device
+        small = accelerator.serialize(build_tree(heap, depth=3))[0].stream
+        large = accelerator.serialize(build_tree(heap, depth=5))[0].stream
+        streams = [small, large, small, small, large, small, large, small]
+        codec_calls["unpack_items"] = 0
+        result = simulator.run(_deserialize_requests(registry, streams))
+        assert codec_calls["unpack_items"] == 2
+        roots = [op.root for op in result.operations]
+        assert len({root.heap for root in roots}) == len(streams)
+        for stream, root in zip(streams, roots):
+            expected = accelerator.codec.deserialize(stream, Heap(registry=registry)).root
+            assert graphs_equivalent(root, expected)
+
+    def test_accelerator_deserialize_decodes_once(self, device, codec_calls, monkeypatch):
+        registry, accelerator, heap, _ = device
+        decodes = []
+        decode_sections = CerealSerializer.decode_sections
+
+        def counting_decode(stream):
+            decodes.append(stream)
+            return decode_sections(stream)
+
+        monkeypatch.setattr(CerealSerializer, "decode_sections", staticmethod(counting_decode))
+        source = build_tree(heap, depth=4)
+        stream = accelerator.serialize(source)[0].stream
+        codec_calls["unpack_items"] = 0
+        root, timing, du = accelerator.deserialize(stream, Heap(registry=registry))
+        assert len(decodes) == 1
+        assert codec_calls["unpack_items"] == 1
+        assert graphs_equivalent(root, source)
+        assert timing.objects == 31 and du.blocks > 0
+
+    def test_truncated_stream_rejected(self, device):
+        registry, accelerator, heap, simulator = device
+        stream = accelerator.serialize(build_tree(heap, depth=2))[0].stream
+        truncated = dataclasses.replace(stream, data=stream.data[:-1])
+        with pytest.raises(FormatError):
+            simulator.run(_deserialize_requests(registry, [truncated]))
